@@ -557,33 +557,26 @@ def _run_chaos(args: argparse.Namespace) -> int:
     telemetry = Telemetry()
     telemetry.health.install_defaults()
     telemetry.slo.install_defaults()
+    engine_cls, overload = StreamEngine, OverloadPolicy(
+        inbox_capacity=32, drain_per_tick=4, cooldown_ticks=8
+    )
     if args.batch:
         from repro.scale.engine import BatchStreamEngine
 
         # The batch transport applies deliveries synchronously -- there
         # is no server inbox to shed from, so the drill runs without the
         # overload policy.
-        engine = BatchStreamEngine(
-            telemetry=telemetry,
-            resilience=ResilienceConfig(
-                checkpoint_dir=str(out / "checkpoint"),
-                checkpoint_every=args.checkpoint_every,
-                watchdog=WatchdogPolicy(),
-                restart=RestartPolicy(),
-            ),
-        )
-    else:
-        engine = StreamEngine(
-            telemetry=telemetry,
-            resilience=ResilienceConfig(
-                checkpoint_dir=str(out / "checkpoint"),
-                checkpoint_every=args.checkpoint_every,
-                watchdog=WatchdogPolicy(),
-                restart=RestartPolicy(),
-                overload=OverloadPolicy(inbox_capacity=32, drain_per_tick=4,
-                                        cooldown_ticks=8),
-            ),
-        )
+        engine_cls, overload = BatchStreamEngine, None
+    engine = engine_cls(
+        telemetry=telemetry,
+        resilience=ResilienceConfig(
+            checkpoint_dir=str(out / "checkpoint"),
+            checkpoint_every=args.checkpoint_every,
+            watchdog=WatchdogPolicy(),
+            restart=RestartPolicy(),
+            overload=overload,
+        ),
+    )
     for source_id in ("hi", "mid", "lo"):
         engine.add_source(
             source_id,

@@ -103,6 +103,7 @@ def _source_intervals(
     """Per-source value and δ arrays for the queried component."""
     values = []
     deltas = []
+    sources = engine.sources
     for source_id in query.source_ids:
         if not engine.server.is_primed(source_id):
             raise UnknownSourceError(
@@ -113,7 +114,7 @@ def _source_intervals(
             raise QueryError(
                 f"source {source_id!r} has no component {query.component}"
             )
-        source = engine._sources.get(source_id)  # noqa: SLF001 - engine API
+        source = sources.get(source_id)
         if source is None:
             raise UnknownSourceError(f"source {source_id!r} has no active DKF")
         delta_vec = source.config.delta_vector()

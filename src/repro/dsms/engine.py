@@ -30,41 +30,25 @@ deadline.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.autoscale.config import AutoscalePolicy
 from repro.autoscale.controller import InboxAutoscaler
 from repro.dkf.config import TransportPolicy
-from repro.dkf.protocol import (
-    AckMessage,
-    ResyncMessage,
-    UpdateMessage,
-    instrument_codec,
-)
+from repro.dkf.protocol import ResyncMessage, UpdateMessage, instrument_codec
 from repro.dkf.server import DKFServer
 from repro.dkf.source import DKFSource
-from repro.dsms.energy import EnergyModel, EnergyReport
+from repro.dsms.core import EngineCore, EngineReport, LedgerRow
+from repro.dsms.energy import EnergyModel
 from repro.dsms.faults import FaultSchedule
 from repro.dsms.network import LinkConfig, NetworkFabric
-from repro.dsms.query import ContinuousQuery, QueryAnswer
-from repro.dsms.registry import SourceRegistry
-from repro.errors import ConfigurationError, StreamExhaustedError, UnknownSourceError
+from repro.dsms.sources import SourceSide, answer_view
+from repro.errors import ConfigurationError
 from repro.filters.models import StateSpaceModel
-from repro.obs.events import trace_id
-from repro.obs.exporters import build_snapshot
-from repro.obs.telemetry import NULL_TELEMETRY
-from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
+from repro.resilience.checkpoint import wal_record
 from repro.resilience.config import ResilienceConfig
-from repro.resilience.supervisor import (
-    BoundedInbox,
-    OverloadController,
-    StreamSupervisor,
-)
-from repro.resilience.watchdog import DivergenceWatchdog
-from repro.streams.base import MaterializedStream, StreamCursor
+from repro.resilience.supervisor import BoundedInbox, OverloadController
+from repro.streams.base import MaterializedStream
 
 __all__ = ["StreamEngine", "EngineReport", "SERVER_NODE"]
 
@@ -74,92 +58,7 @@ __all__ = ["StreamEngine", "EngineReport", "SERVER_NODE"]
 SERVER_NODE = "server"
 
 
-@dataclass(frozen=True)
-class EngineReport:
-    """System-wide summary after (part of) a run.
-
-    Attributes:
-        ticks: Sampling instants processed.
-        readings: Total sensor readings across sources.
-        updates_sent: Update messages offered on the wire over each
-            source's whole lifetime (counted at the fabric, so the
-            figure survives source restarts that wipe per-source
-            counters).  Disjoint from ``retransmits`` and
-            ``heartbeats``, so the traffic conservation law holds:
-            ``updates_sent + retransmits + heartbeats == delivered +
-            messages_lost + corrupted + in_flight``.
-        bytes_delivered: Total bytes that crossed the network.
-        messages_lost: Data messages dropped by the loss model.
-            Disjoint from ``corrupted``.
-        in_flight: Messages still queued on latent links (both
-            directions) when the report was cut.
-        retransmits: Resync snapshots offered on the wire -- ack-timeout
-            and server-requested retransmissions plus post-restart
-            re-priming.
-        heartbeats: Liveness beacons offered by sources.
-        corrupted: Messages rejected by the receiver-side CRC check.
-        acks_delivered: Server-to-source acknowledgements delivered.
-        per_source_energy: Energy report per source id.
-    """
-
-    ticks: int
-    readings: int
-    updates_sent: int
-    bytes_delivered: int
-    messages_lost: int
-    in_flight: int
-    retransmits: int
-    heartbeats: int
-    corrupted: int
-    acks_delivered: int
-    per_source_energy: dict[str, EnergyReport]
-
-    @property
-    def total_energy_joules(self) -> float:
-        """System-wide sensor energy across all sources."""
-        return sum(r.total_joules for r in self.per_source_energy.values())
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable form (nested ``EnergyReport``s included).
-
-        Round-trips exactly through :meth:`from_dict`; the snapshot
-        exporter embeds this under its ``meta`` when a run report rides
-        along with the telemetry.
-        """
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngineReport":
-        """Rebuild a report from :meth:`to_dict` output."""
-        try:
-            energy = {
-                source_id: EnergyReport(**fields)
-                for source_id, fields in data["per_source_energy"].items()
-            }
-            return cls(**{**data, "per_source_energy": energy})
-        except (KeyError, TypeError) as exc:
-            raise ConfigurationError(
-                f"malformed EngineReport dict: {exc}"
-            ) from None
-
-
-def _either(
-    first,
-    second,
-):
-    """Compose two optional loss predicates with OR (fault layering)."""
-    if first is None:
-        return second
-    if second is None:
-        return first
-
-    def drop(index: int) -> bool:
-        return bool(first(index)) or bool(second(index))
-
-    return drop
-
-
-class StreamEngine:
+class StreamEngine(EngineCore):
     """Drive many DKF pairs over their streams under one server.
 
     Args:
@@ -193,74 +92,33 @@ class StreamEngine:
         resilience: ResilienceConfig | None = None,
         autoscale: AutoscalePolicy | None = None,
     ) -> None:
-        self.registry = SourceRegistry()
-        self._tel = telemetry or NULL_TELEMETRY
-        self._resilience = resilience
-        if resilience is not None:
-            resilience.validate()
-        self._track_health = (
-            resilience is not None and resilience.watchdog is not None
-        )
-        self._server = DKFServer(
-            strict=False,
-            emit_acks=True,
-            telemetry=self._tel,
-            track_health=self._track_health,
-        )
-        self._fabric = NetworkFabric(
+        super().__init__(energy_model, telemetry, resilience)
+        self._server = self._new_server()
+        self._side = SourceSide(
             # The resilient deliver path must survive the server object
             # being replaced on recovery, so it routes through a wrapper
             # instead of binding the server's method directly.
             deliver=(
                 self._server.receive if resilience is None else self._deliver
             ),
-            deliver_ack=self._on_ack,
+            advance=self._advance,
             telemetry=self._tel,
+            supervisor=self._supervisor,
+            watchdog=self._watchdog,
         )
         if self._tel.enabled:
             # The codec is module-level, so its timers are too; the most
             # recently built observed engine wins the hook.
             instrument_codec(self._tel.timers)
-        self._energy = energy_model or EnergyModel()
-        self._sources: dict[str, DKFSource] = {}
-        self._cursors: dict[str, StreamCursor] = {}
-        self._links: dict[str, LinkConfig] = {}
-        self._transports: dict[str, TransportPolicy] = {}
         self._priorities: dict[str, int] = {}
-        self._ticks = 0
-        self._exhausted: set[str] = set()
-        self._faults: FaultSchedule | None = None
-        self._latency_overrides: dict[str, tuple[int, int]] = {}
-        self._resync_prime: set[str] = set()
-        self._down_now: set[str] = set()
-        # Resilience state (all inert when the guards are disabled).
-        self._server_down = False
-        self._replaying = False
-        self._dropped_while_down = 0
-        self._recoveries = 0
-        self._restart_pending: set[str] = set()
-        self._ckpt: CheckpointStore | None = None
-        self._watchdog: DivergenceWatchdog | None = None
-        self._supervisor: StreamSupervisor | None = None
+        self._dropped = 0
         self._overload: OverloadController | None = None
         self._inbox: BoundedInbox | None = None
-        if resilience is not None:
-            if resilience.checkpoint_dir is not None:
-                self._ckpt = CheckpointStore(resilience.checkpoint_dir)
-            if resilience.watchdog is not None:
-                self._watchdog = DivergenceWatchdog(
-                    resilience.watchdog, telemetry=self._tel
-                )
-            if resilience.restart is not None:
-                self._supervisor = StreamSupervisor(
-                    resilience.restart, telemetry=self._tel
-                )
-            if resilience.overload is not None:
-                self._overload = OverloadController(
-                    resilience.overload, telemetry=self._tel
-                )
-                self._inbox = BoundedInbox(resilience.overload.inbox_capacity)
-        self._autoscaler: InboxAutoscaler | None = None
+        if resilience is not None and resilience.overload is not None:
+            self._overload = OverloadController(
+                resilience.overload, telemetry=self._tel
+            )
+            self._inbox = BoundedInbox(resilience.overload.inbox_capacity)
         if autoscale is not None:
             autoscale.validate()
             if self._overload is None:
@@ -273,6 +131,14 @@ class StreamEngine:
                 autoscale, self._overload, telemetry=self._tel
             )
 
+    def _new_server(self) -> DKFServer:
+        return DKFServer(
+            strict=False,
+            emit_acks=True,
+            telemetry=self._tel,
+            track_health=self._track_health,
+        )
+
     @property
     def server(self) -> DKFServer:
         """The shared central server (live object)."""
@@ -281,52 +147,12 @@ class StreamEngine:
     @property
     def fabric(self) -> NetworkFabric:
         """The simulated network fabric (live object)."""
-        return self._fabric
+        return self._side.fabric
 
     @property
     def sources(self) -> dict[str, DKFSource]:
         """The installed source-side DKF endpoints (live objects)."""
-        return dict(self._sources)
-
-    @property
-    def ticks(self) -> int:
-        """Sampling instants processed so far."""
-        return self._ticks
-
-    @property
-    def faults(self) -> FaultSchedule | None:
-        """The injected fault schedule, if any."""
-        return self._faults
-
-    @property
-    def telemetry(self):
-        """The telemetry handle (the no-op singleton when unobserved)."""
-        return self._tel
-
-    @property
-    def resilience(self) -> ResilienceConfig | None:
-        """The installed resilience configuration, if any."""
-        return self._resilience
-
-    @property
-    def server_down(self) -> bool:
-        """Whether :meth:`crash_server` killed the server process."""
-        return self._server_down
-
-    @property
-    def checkpoint_store(self) -> CheckpointStore | None:
-        """The durable checkpoint + WAL pair (None when disabled)."""
-        return self._ckpt
-
-    @property
-    def watchdog(self) -> DivergenceWatchdog | None:
-        """The divergence watchdog (None when disabled)."""
-        return self._watchdog
-
-    @property
-    def supervisor(self) -> StreamSupervisor | None:
-        """The restart supervisor (None when disabled)."""
-        return self._supervisor
+        return dict(self._side.sources)
 
     @property
     def overload(self) -> OverloadController | None:
@@ -337,11 +163,6 @@ class StreamEngine:
     def inbox(self) -> BoundedInbox | None:
         """The bounded server inbox (None when overload is disabled)."""
         return self._inbox
-
-    @property
-    def autoscaler(self) -> InboxAutoscaler | None:
-        """The predictive autoscaler (None when disabled)."""
-        return self._autoscaler
 
     # Resilient delivery path ---------------------------------------------
 
@@ -355,12 +176,11 @@ class StreamEngine:
         the drain rate; otherwise it is applied synchronously.
         """
         if self._server_down:
-            self._dropped_while_down += 1
+            self._dropped += 1
             return None
         if self._inbox is not None:
             if not self._inbox.offer(message):
-                if self._overload is not None:
-                    self._overload.charge_drop(message.source_id)
+                self._overload.charge_drop(message.source_id)
                 if self._tel.enabled:
                     self._tel.emit(
                         "shed.drop",
@@ -376,10 +196,8 @@ class StreamEngine:
         server = self._server
         if (
             self._ckpt is None
-            or self._replaying
-            or isinstance(message, AckMessage)
             or not isinstance(message, (UpdateMessage, ResyncMessage))
-            or message.source_id not in server.source_ids
+            or message.source_id not in self._side.sources
         ):
             return server.receive(message)
         source_id = message.source_id
@@ -391,22 +209,20 @@ class StreamEngine:
             or after["resyncs_received"] > before["resyncs_received"]
         )
         if applied:
-            record = {
-                "kind": (
-                    "resync" if isinstance(message, ResyncMessage) else "update"
-                ),
-                "source_id": source_id,
-                "seq": int(message.seq),
-                "k": int(message.k),
-                "value": message.value.tolist(),
-            }
-            if isinstance(message, ResyncMessage):
-                record["x"] = message.x.tolist()
-                record["p"] = message.p.tolist()
-            self._ckpt.wal_append(record)
-            if self._tel.enabled:
-                self._tel.count("wal_records_total", source_id)
+            resync = isinstance(message, ResyncMessage)
+            self._wal_append(
+                wal_record(
+                    source_id,
+                    message.seq,
+                    message.k,
+                    message.value,
+                    x=message.x if resync else None,
+                    p=message.p if resync else None,
+                )
+            )
         return result
+
+    # Setup ----------------------------------------------------------------
 
     def add_source(
         self,
@@ -428,10 +244,7 @@ class StreamEngine:
         self.registry.register_source(
             source_id, model, default_smoothing_r=default_smoothing_r
         )
-        self._cursors[source_id] = StreamCursor(stream)
-        self._fabric.add_link(source_id, link)
-        self._links[source_id] = link or LinkConfig()
-        self._transports[source_id] = transport or TransportPolicy()
+        self._side.add(source_id, stream, link, transport)
         self._priorities[source_id] = priority
 
     def inject_faults(self, schedule: FaultSchedule) -> None:
@@ -439,91 +252,21 @@ class StreamEngine:
 
         Burst-loss and corruption faults are layered onto the affected
         links (existing loss functions still apply -- the fabric drops a
-        message when *either* says so).  Crash and sensor faults are
-        consumed tick by tick inside :meth:`step`.
+        message when *either* says so).  Partitions cut sources off from
+        :data:`SERVER_NODE`.  Crash and sensor faults are consumed tick
+        by tick inside :meth:`step`.
         """
-        schedule.reset()
-        schedule.bind_telemetry(self._tel)
+        self._side.inject_faults(schedule, lambda _source_id: SERVER_NODE)
         self._faults = schedule
-        partitioned = (
-            schedule.partitioned_nodes() if schedule.has_partitions() else set()
-        )
-        for source_id in self._links:
-            loss = schedule.loss_fn(source_id)
-            corrupt = schedule.corrupt_fn(source_id)
-            sever = None
-            if source_id in partitioned:
-                # Severed at send: a frame offered while the cut is active
-                # is dropped (counted lost), in both directions.  The
-                # fabric gate below holds frames already in the pipe.
-                def sever(_index: int, _sid: str = source_id) -> bool:
-                    return schedule.link_severed(_sid, SERVER_NODE)
 
-            if loss is None and corrupt is None and sever is None:
-                continue
-            base = self._fabric.link_config(source_id)
-            self._fabric.reconfigure_link(
-                source_id,
-                dataclasses.replace(
-                    base,
-                    loss_fn=_either(_either(base.loss_fn, loss), sever),
-                    ack_loss_fn=_either(base.ack_loss_fn, sever),
-                    corrupt_fn=_either(base.corrupt_fn, corrupt),
-                ),
-            )
-        if partitioned:
-            self._fabric.set_gate(
-                lambda link_id, tick: not schedule.link_severed(
-                    link_id, SERVER_NODE, tick
-                )
-            )
+    def _row_config(self, source_id: str):
+        return self._side.config(source_id)
 
-    def submit_query(self, query: ContinuousQuery) -> None:
-        """Activate a continuous query, (re)installing the source's DKF.
-
-        The first query on a source installs its DKF pair; later queries
-        reinstall only when they tighten the effective δ or F (a reinstall
-        resets the filters, costing one priming update -- the trade the
-        paper's protocol makes for simplicity).
-        """
-        descriptor = self.registry.add_query(query)
-        config = descriptor.build_config()
-        existing = self._sources.get(query.source_id)
-        if existing is not None and existing.config == config:
-            return
-        self._install(query.source_id, config)
-
-    def retire_query(self, query_id: str) -> None:
-        """Deactivate a query; tear down the DKF when none remain."""
-        descriptor = self.registry.remove_query(query_id)
-        source_id = descriptor.source_id
-        if not descriptor.queries:
-            if source_id in self._sources:
-                del self._sources[source_id]
-                self._server.deregister(source_id)
-                self._exhausted.discard(source_id)
-                self._resync_prime.discard(source_id)
-                self._restart_pending.discard(source_id)
-                if self._watchdog is not None:
-                    self._watchdog.deregister(source_id)
-                if self._overload is not None:
-                    self._overload.deregister(source_id)
-            return
-        config = descriptor.build_config()
-        if self._sources[source_id].config != config:
-            self._install(source_id, config)
-
-    def _install(self, source_id: str, config) -> None:
-        transport = self._transports.get(source_id) or TransportPolicy()
-        self._sources[source_id] = DKFSource(
-            source_id, config, transport=transport, telemetry=self._tel
-        )
+    def _install_row(self, source_id: str, config) -> None:
+        transport = self._side.install(source_id, config)
         if source_id in self._server.source_ids:
             self._server.deregister(source_id)
         self._server.register(source_id, config, transport=transport)
-        self._resync_prime.discard(source_id)
-        if self._watchdog is not None:
-            self._watchdog.register(source_id)
         if self._overload is not None:
             self._overload.register(
                 source_id,
@@ -531,11 +274,13 @@ class StreamEngine:
                 config.min_delta,
             )
 
-    def _on_ack(self, ack: AckMessage) -> None:
-        """Fabric callback: route a delivered ack to its source."""
-        source = self._sources.get(ack.source_id)
-        if source is not None:
-            source.on_ack(ack, self._ticks)
+    def _retire_row(self, source_id: str) -> None:
+        self._side.retire(source_id)
+        self._server.deregister(source_id)
+        if self._overload is not None:
+            self._overload.deregister(source_id)
+
+    # Tick loop ------------------------------------------------------------
 
     def step(self) -> int:
         """Advance every queried source one sampling instant.
@@ -554,54 +299,29 @@ class StreamEngine:
         now = self._ticks
         tel.set_tick(now)
         with tel.timers.span("engine.step"):
-            if self._faults is not None:
-                self._faults.observe_tick(now)
-                self._apply_latency_overrides(now)
-            processed = self._step_sources(now)
+            processed = self._side.step(now)
             self._ticks += 1
             if not self._server_down:
                 self._server.advance_clock(self._ticks)
-            self._fabric.advance(self._ticks)
+            self._side.fabric.advance(self._ticks)
             self._drain_inbox()
             if not self._server_down:
                 for ack in self._server.take_outbox():
-                    self._fabric.send_ack(ack)
+                    self._side.fabric.send_ack(ack)
             self._run_watchdog()
             self._maybe_checkpoint()
         return processed
 
-    def _apply_latency_overrides(self, now: int) -> None:
-        """Apply/clear asymmetric-link latency windows (fault hook).
-
-        Reconfigures only when the set of active overrides changed, so
-        runs without asymmetric faults pay a single set lookup per tick.
-        """
-        if not self._faults.asymmetric_links():
-            return
-        overrides = {
-            sid: extras
-            for sid, extras in self._faults.latency_overrides(now).items()
-            if sid in self._links
-        }
-        if overrides == self._latency_overrides:
-            return
-        for source_id in set(self._latency_overrides) | set(overrides):
-            base = self._links[source_id]
-            data_extra, ack_extra = overrides.get(source_id, (0, 0))
-            current = self._fabric.link_config(source_id)
-            self._fabric.reconfigure_link(
-                source_id,
-                dataclasses.replace(
-                    current,
-                    latency_ticks=base.latency_ticks + data_extra,
-                    ack_latency_ticks=base.ack_latency_ticks + ack_extra,
-                ),
-            )
-        self._latency_overrides = overrides
+    def _advance(self, source_id: str, k: int, sampled: bool) -> None:
+        """Predict the server filter of one source at instant ``k``."""
+        if not self._server_down and (
+            sampled or self._server.is_primed(source_id)
+        ):
+            self._server.tick(source_id, k)
 
     def _drain_inbox(self) -> None:
         """Process the bounded inbox at the configured drain rate."""
-        if self._inbox is None or self._overload is None:
+        if self._inbox is None:
             return
         if not self._server_down:
             for message in self._inbox.drain(
@@ -625,7 +345,7 @@ class StreamEngine:
 
     def _apply_scales(self, changes: dict[str, float]) -> None:
         for source_id, scale in changes.items():
-            source = self._sources.get(source_id)
+            source = self._side.sources.get(source_id)
             if source is not None:
                 source.set_delta_scale(scale)
 
@@ -633,11 +353,8 @@ class StreamEngine:
         """Health-check every primed stream and apply escalations."""
         if self._watchdog is None or self._server_down:
             return
-        for source_id, source in self._sources.items():
-            if (
-                source_id not in self._server.source_ids
-                or not self._server.is_primed(source_id)
-            ):
+        for source_id, source in self._side.sources.items():
+            if not self._server.is_primed(source_id):
                 continue
             action = self._watchdog.check(
                 source_id, self._ticks, self._server.health_view(source_id)
@@ -654,505 +371,152 @@ class StreamEngine:
             # "quarantine" needs no mechanism here: answers() reads the
             # watchdog's rung and flags the stream untrustworthy.
 
-    def _maybe_checkpoint(self) -> None:
-        """Write a periodic snapshot when the cadence says so."""
-        if (
-            self._resilience is None
-            or not self._resilience.checkpoint_every
-            or self._ckpt is None
-            or self._server_down
-        ):
-            return
-        if self._ticks % self._resilience.checkpoint_every == 0:
-            self.checkpoint()
+    # Run-loop hooks -------------------------------------------------------
 
-    def _step_sources(self, now: int) -> int:
-        """The per-source half of :meth:`step` (readings + transport)."""
-        tel = self._tel
-        processed = 0
-        for source_id, source in self._sources.items():
-            if self._faults is not None:
-                if (
-                    self._faults.restarts_at(source_id, now)
-                    or source_id in self._restart_pending
-                ):
-                    # Recovered from a crash: all state is gone.  The next
-                    # transmission must be a resync snapshot, because the
-                    # server's expected sequence number survived the crash
-                    # and a fresh seq-0 update would read as a stale
-                    # duplicate.  Under a restart policy the supervisor
-                    # may defer the restart (backoff or exhausted budget),
-                    # in which case the source stays down and the request
-                    # is retried next tick.
-                    if (
-                        self._supervisor is None
-                        or self._supervisor.request_restart(source_id, now)
-                    ):
-                        self._restart_pending.discard(source_id)
-                        source.reset(now)
-                        self._resync_prime.add(source_id)
-                        self._down_now.discard(source_id)
-                        if tel.enabled:
-                            tel.emit("fault.restart", source_id=source_id)
-                            tel.count("restarts_total", source_id)
-                    else:
-                        self._restart_pending.add(source_id)
-                if (
-                    self._faults.is_down(source_id, now)
-                    or source_id in self._restart_pending
-                ):
-                    # Sensor dead: no reading, no transport.  The server
-                    # keeps coasting so staleness and covariance grow.
-                    if source_id not in self._down_now:
-                        self._down_now.add(source_id)
-                        if tel.enabled:
-                            tel.emit("fault.crash", source_id=source_id)
-                            tel.count("crashes_total", source_id)
-                    if (
-                        not self._server_down
-                        and self._server.is_primed(source_id)
-                    ):
-                        self._server.tick(source_id, now)
-                    if self._faults.is_terminal(source_id, now):
-                        self._exhausted.add(source_id)
-                    continue
-            if source_id not in self._exhausted:
-                cursor = self._cursors[source_id]
-                try:
-                    record = cursor.next()
-                except StreamExhaustedError:
-                    self._exhausted.add(source_id)
-                else:
-                    if self._faults is not None:
-                        record = self._faults.transform(source_id, now, record)
-                    if not self._server_down:
-                        self._server.tick(source_id, record.k)
-                    step = source.sample(record)
-                    if self._watchdog is not None:
-                        if step.rejected:
-                            self._watchdog.note_rejection(source_id)
-                        else:
-                            self._watchdog.note_accepted(source_id)
-                    message = step.message
-                    if message is not None:
-                        if source_id in self._resync_prime:
-                            self._resync_prime.discard(source_id)
-                            message = source.resync_message(
-                                record.k, step.value
-                            )
-                            if tel.enabled:
-                                tel.emit(
-                                    "engine.resync_prime",
-                                    source_id=source_id,
-                                    trace=trace_id(source_id, message.seq),
-                                    k=record.k,
-                                )
-                        self._fabric.send(message)
-                        source.note_sent(message, now)
-                    processed += 1
-            # Transport maintenance runs for every live source, even after
-            # its stream drained: pending retransmissions and heartbeats
-            # must not strand.
-            for message in source.poll_transport(now):
-                self._fabric.send(message)
-        return processed
+    def _drained(self) -> bool:
+        return self._side.drained()
 
-    def run(self, max_ticks: int | None = None) -> int:
-        """Step until every stream is exhausted (or ``max_ticks``).
-
-        When the run ends because every stream drained, in-flight
-        messages are flushed (:meth:`NetworkFabric.drain`) so nothing is
-        silently stranded; a ``max_ticks`` cut leaves the fabric untouched
-        so the run can be resumed.
-
-        Returns the number of ticks executed.
-        """
-        executed = 0
-        with self._tel.timers.span("engine.run"):
-            while max_ticks is None or executed < max_ticks:
-                if len(self._exhausted) == len(self._sources):
-                    break
-                if (
-                    self.step() == 0
-                    and len(self._exhausted) == len(self._sources)
-                ):
-                    break
-                executed += 1
-            if self._sources and len(self._exhausted) == len(self._sources):
-                self._flush_in_flight()
-        return executed
-
-    def settle(self, max_ticks: int = 256) -> int:
-        """Tick the transport until it quiesces (post-run grace period).
-
-        Keeps stepping (consuming no new readings once streams are
-        exhausted) until no message is in flight and no source is waiting
-        on an ack, or ``max_ticks`` elapse.  Use after :meth:`run` when a
-        test or deployment needs every retransmission resolved rather
-        than merely flushed.
-
-        Returns the number of grace ticks executed.
-        """
-        executed = 0
-        while executed < max_ticks:
-            pending = sum(s.pending_acks for s in self._sources.values())
-            if pending == 0 and self._fabric.total_in_flight() == 0:
-                break
-            self.step()
-            executed += 1
-        return executed
+    def _quiet(self) -> bool:
+        return self._side.quiet()
 
     def _flush_in_flight(self) -> None:
         """Deliver stranded in-flight traffic (and resulting acks)."""
+        fabric = self._side.fabric
         while True:
-            drained = self._fabric.drain()
+            drained = fabric.drain()
             if self._inbox is not None and not self._server_down:
                 for message in self._inbox.drain(self._inbox.depth):
                     self._apply_message(message)
-            acks = (
-                [] if self._server_down else self._server.take_outbox()
-            )
+            acks = [] if self._server_down else self._server.take_outbox()
             for ack in acks:
-                self._fabric.send_ack(ack)
+                fabric.send_ack(ack)
             if drained == 0 and not acks:
                 break
 
-    def answers(self) -> list[QueryAnswer]:
-        """Current answers for every active query.
+    # Core hooks -----------------------------------------------------------
 
-        Each answer carries the liveness verdict for its source:
-        ``staleness_ticks`` since the server last heard anything,
-        ``confidence`` derived from the coasting filter's inflated
-        covariance, and ``degraded=True`` once the silence exceeded the
-        source's suspect deadline -- the honest "possibly dead" signal the
-        plain value cannot convey.
-        """
-        out = []
-        for query in self.registry.active_queries:
-            source = self._sources.get(query.source_id)
-            if source is None or not self._server.is_primed(query.source_id):
-                continue
-            value = self._server.value(query.source_id)
-            live = self._server.liveness(query.source_id)
-            if self._tel.enabled:
-                self._tel.observe(
-                    "staleness_at_answer_ticks",
-                    int(live["staleness_ticks"]),
-                    source_id=query.source_id,
-                )
-            out.append(
-                QueryAnswer(
-                    query_id=query.query_id,
-                    source_id=query.source_id,
-                    k=self._server.stats(query.source_id)["last_k"],
-                    value=tuple(float(v) for v in value),
-                    # The honest precision bound: overload shedding may
-                    # have widened the effective δ (scale 1.0 leaves the
-                    # figure bit-identical to the configured width).
-                    precision=source.effective_min_delta,
-                    staleness_ticks=int(live["staleness_ticks"]),
-                    confidence=self._server.confidence(query.source_id),
-                    # While the server process is down, clients read the
-                    # cached last-known answer -- always degraded.
-                    degraded=bool(live["suspect"]) or self._server_down,
-                    quarantined=(
-                        self._watchdog is not None
-                        and self._watchdog.is_quarantined(query.source_id)
-                    ),
-                )
-            )
-        return out
+    # Bound in this class's own namespace too, so per-class
+    # instrumentation can wrap it.
+    answers = EngineCore.answers
 
-    def answer(self, query_id: str) -> QueryAnswer:
-        """The current answer for one query."""
-        for candidate in self.answers():
-            if candidate.query_id == query_id:
-                return candidate
-        raise UnknownSourceError(f"no answer available for query {query_id!r}")
+    def _row_ids(self):
+        return self._side.sources.keys()
 
-    # Crash recovery -------------------------------------------------------
+    def _answer_view(self, source_id: str):
+        source = self._side.sources.get(source_id)
+        if source is None or not self._server.is_primed(source_id):
+            return None
+        return answer_view(self._server, source)
 
-    def checkpoint(self) -> int:
-        """Snapshot the full server filter bank to durable storage.
+    def _server_clock(self) -> int:
+        return self._server.clock
 
-        Writes one atomic ``repro.ckpt-v1`` snapshot (per-source state
-        vector, covariance, clock and sequence expectations) and
-        truncates the WAL it supersedes.  Returns the framed size in
-        bytes.
+    def _export_row(self, source_id: str) -> dict:
+        return self._server.export_source_state(source_id)
 
-        Raises:
-            ConfigurationError: When no checkpoint directory is
-                configured or the server is down.
-        """
-        if self._ckpt is None:
-            raise ConfigurationError(
-                "checkpointing requires a ResilienceConfig with a "
-                "checkpoint_dir"
-            )
-        if self._server_down:
-            raise ConfigurationError("cannot checkpoint a dead server")
-        snapshot = {
-            "schema": CHECKPOINT_SCHEMA,
-            "tick": self._ticks,
-            "server_clock": self._server.clock,
-            "sources": {
-                source_id: self._server.export_source_state(source_id)
-                for source_id in self._server.source_ids
-            },
-            "meta": {"recoveries": self._recoveries},
-        }
-        size = self._ckpt.save(snapshot)
-        if self._tel.enabled:
-            self._tel.emit(
-                "checkpoint.write",
-                bytes=size,
-                sources=len(snapshot["sources"]),
-            )
-            self._tel.count("checkpoint_writes_total")
-            self._tel.gauge("checkpoint_bytes", size)
-        return size
+    def _import_row(self, source_id: str, data: dict) -> bool:
+        if source_id not in self._side.sources:
+            return False
+        self._server.import_source_state(source_id, data)
+        return True
 
-    def crash_server(self) -> int:
-        """Kill the central server process mid-run.
+    def _lose_inbox(self) -> int:
+        return self._inbox.clear() if self._inbox is not None else 0
 
-        Every in-memory filter dies with it; only the checkpoint and WAL
-        survive.  Until :meth:`recover`, deliveries are dropped on the
-        floor (the fabric still counts them delivered -- that is what
-        happens to packets that reach a dead host), sources keep
-        sampling and their un-acked messages age toward retransmission,
-        and :meth:`answers` serves the cached last-known values flagged
-        ``degraded``.  Returns the number of queued inbox messages lost.
-
-        Raises:
-            ConfigurationError: When resilience is not enabled (the
-                non-resilient engine has no recovery path, so a crash
-                would just be a broken simulation).
-        """
-        if self._resilience is None:
-            raise ConfigurationError(
-                "crash_server requires a ResilienceConfig"
-            )
-        if self._server_down:
-            return 0
-        self._server_down = True
-        lost = self._inbox.clear() if self._inbox is not None else 0
-        if self._tel.enabled:
-            self._tel.emit(
-                "server.crash", inbox_lost=lost
-            )
-            self._tel.count("server_crashes_total")
-        return lost
-
-    def recover(self) -> dict[str, int]:
-        """Rebuild the server from the last checkpoint plus WAL replay.
-
-        The recovery handshake:
-
-        1. a fresh server registers every installed source (configs live
-           in the engine, not the dead process);
-        2. the checkpoint restores each source's ``(x, P, k)``, counters
-           and sequence expectations;
-        3. the WAL tail replays every update/resync applied since the
-           snapshot, interleaving the prediction steps the original run
-           performed (the filter arithmetic is deterministic, so replay
-           reconstructs the exact pre-crash estimates);
-        4. each filter rolls forward to the present (it predicted
-           nothing while dead, its mirror predicted every tick);
-        5. sources whose sequence numbers advanced past what the
-           restored server expects are asked for a resync snapshot --
-           the same message that heals a lossy link heals a reborn
-           server.
-
-        Returns a summary dict (``restored_sources``, ``wal_replayed``,
-        ``resync_requests``, ``dropped_while_down``).
-        """
-        if self._resilience is None:
-            raise ConfigurationError("recover requires a ResilienceConfig")
-        dropped = self._dropped_while_down
-        self._server = DKFServer(
-            strict=False,
-            emit_acks=True,
-            telemetry=self._tel,
-            track_health=self._track_health,
-        )
-        self._server_down = False
-        self._dropped_while_down = 0
-        for source_id, source in self._sources.items():
+    def _restart_server(self) -> None:
+        self._dropped = 0
+        self._server = self._new_server()
+        for source_id, source in self._side.sources.items():
             self._server.register(
                 source_id,
                 source.config,
-                transport=self._transports.get(source_id) or TransportPolicy(),
+                transport=self._side.transports[source_id],
             )
-        snapshot = self._ckpt.load() if self._ckpt is not None else None
-        restored = 0
-        if snapshot is not None:
-            for source_id, data in snapshot["sources"].items():
-                if source_id in self._server.source_ids:
-                    self._server.import_source_state(source_id, data)
-                    restored += 1
-        replayed = self._replay_wal() if self._ckpt is not None else 0
-        # Roll each restored filter forward to the present: the mirror
-        # predicted once per sampled instant while the server was dead.
-        for source_id, source in self._sources.items():
-            if not self._server.is_primed(source_id) or not source.primed:
-                continue
-            behind = source.mirror.k - self._server.filter_clock(source_id)
-            last_k = int(self._server.stats(source_id)["last_k"])
-            for i in range(max(0, behind)):
-                self._server.tick(source_id, last_k + i + 1)
+
+    def _last_k(self, source_id: str) -> int:
+        return int(self._server.stats(source_id)["last_k"])
+
+    def _tick_row(self, source_id: str, k: int) -> None:
+        self._server.tick(source_id, k)
+
+    def _replay_record(self, source_id: str, record: dict) -> None:
+        k = int(record["k"])
+        # The live run delivered this message while the server clock sat
+        # at its sampling instant (zero-latency links deliver inside the
+        # same step), so replay matches that clock exactly --
+        # last_contact comes out bit-identical.
+        self._server.advance_clock(k)
+        value = np.asarray(record["value"], dtype=float)
+        if record["kind"] == "resync":
+            message = ResyncMessage(
+                source_id=source_id,
+                seq=int(record["seq"]),
+                k=k,
+                x=np.asarray(record["x"], dtype=float),
+                p=np.asarray(record["p"], dtype=float),
+                value=value,
+            )
+        else:
+            message = UpdateMessage(
+                source_id=source_id, seq=int(record["seq"]), k=k, value=value
+            )
+        self._server.receive(message)
+
+    def _row_lag(self, source_id: str) -> int:
+        source = self._side.sources[source_id]
+        if not (self._server.is_primed(source_id) and source.primed):
+            return 0
+        return source.mirror.k - self._server.filter_clock(source_id)
+
+    def _finish_recovery(self) -> None:
         self._server.advance_clock(self._ticks)
         # Replay re-derived acks for messages whose originals were acked
         # before the crash; re-sending them would be duplicate traffic.
         self._server.take_outbox()
-        resyncs = 0
-        for source_id, source in self._sources.items():
-            if not source.primed:
-                continue
-            if (
-                source.next_seq
-                != self._server.stats(source_id)["expected_seq"]
-            ):
-                source.request_resync()
-                resyncs += 1
-        self._recoveries += 1
-        if self._tel.enabled:
-            self._tel.emit(
-                "recovery.replay",
-                restored_sources=restored,
-                wal_replayed=replayed,
-                resync_requests=resyncs,
-                dropped_while_down=dropped,
-            )
-            self._tel.count("recoveries_total")
-        return {
-            "restored_sources": restored,
-            "wal_replayed": replayed,
-            "resync_requests": resyncs,
-            "dropped_while_down": dropped,
-        }
 
-    def _replay_wal(self) -> int:
-        """Apply the WAL tail to a freshly restored server."""
-        self._replaying = True
-        count = 0
-        try:
-            for record in self._ckpt.wal_records():
-                source_id = record.get("source_id")
-                if source_id not in self._server.source_ids:
-                    continue
-                k = int(record["k"])
-                last_k = int(self._server.stats(source_id)["last_k"])
-                # Interleave the prediction steps the original run
-                # performed between the previous applied message and
-                # this one (one per sampled instant).
-                for t in range(last_k + 1, k + 1):
-                    self._server.tick(source_id, t)
-                # The live run delivered this message while the server
-                # clock sat at its sampling instant (zero-latency links
-                # deliver inside the same step), so replay matches that
-                # clock exactly -- last_contact comes out bit-identical.
-                self._server.advance_clock(k)
-                if record["kind"] == "resync":
-                    message = ResyncMessage(
-                        source_id=source_id,
-                        seq=int(record["seq"]),
-                        k=k,
-                        x=np.asarray(record["x"], dtype=float),
-                        p=np.asarray(record["p"], dtype=float),
-                        value=np.asarray(record["value"], dtype=float),
-                    )
-                else:
-                    message = UpdateMessage(
-                        source_id=source_id,
-                        seq=int(record["seq"]),
-                        k=k,
-                        value=np.asarray(record["value"], dtype=float),
-                    )
-                self._server.receive(message)
-                count += 1
-        finally:
-            self._replaying = False
-        return count
+    def _resync_if_behind(self, source_id: str) -> bool:
+        source = self._side.sources[source_id]
+        if not source.primed or (
+            source.next_seq == self._server.stats(source_id)["expected_seq"]
+        ):
+            return False
+        source.request_resync()
+        return True
 
-    def resilience_report(self) -> dict[str, object]:
-        """Summary of every resilience guard's activity this run."""
-        report: dict[str, object] = {
-            "enabled": self._resilience is not None,
-            "recoveries": self._recoveries,
-            "server_down": self._server_down,
-            "dropped_while_down": self._dropped_while_down,
-        }
+    def _ledger_row(self, source_id: str) -> LedgerRow:
+        source = self._side.sources[source_id]
+        stats = self._side.fabric.stats_for(source_id)
+        model = source.config.model
+        return LedgerRow(
+            samples=source.samples_seen,
+            smoothing_steps=(
+                source.samples_seen if source.config.smoothed else 0
+            ),
+            state_dim=model.state_dim,
+            measurement_dim=model.measurement_dim,
+            offered=stats.offered,
+            resyncs=stats.resyncs,
+            heartbeats=stats.heartbeats,
+            bytes_delivered=stats.bytes_delivered,
+            lost=stats.lost,
+            corrupted=stats.corrupted,
+            acks_delivered=stats.acks_delivered,
+            in_flight=stats.in_flight,
+        )
+
+    def _dropped_while_down(self) -> int:
+        return self._dropped
+
+    def _guard_reports(self) -> dict[str, object]:
+        report: dict[str, object] = {}
         if self._inbox is not None:
             report["inbox"] = {
                 "depth": self._inbox.depth,
                 "accepted": self._inbox.accepted,
                 "dropped": self._inbox.dropped,
             }
-        if self._watchdog is not None:
-            report["watchdog"] = self._watchdog.report()
-        if self._supervisor is not None:
-            report["supervisor"] = self._supervisor.report()
-        if self._overload is not None:
             report["overload"] = self._overload.report()
             report["shed_ledger"] = self._overload.ledger()
         if self._autoscaler is not None:
             report["autoscale"] = self._autoscaler.report()
         return report
-
-    def report(self) -> EngineReport:
-        """System-wide traffic and energy summary."""
-        per_source_energy = {}
-        readings = 0
-        updates = 0
-        retransmits = 0
-        heartbeats = 0
-        corrupted = 0
-        acks_delivered = 0
-        for source_id, source in self._sources.items():
-            stats = self._fabric.stats_for(source_id)
-            model = source.config.model
-            per_source_energy[source_id] = self._energy.report(
-                bytes_sent=stats.bytes_delivered,
-                filter_steps=source.samples_seen,
-                state_dim=model.state_dim,
-                measurement_dim=model.measurement_dim,
-                smoothing_steps=source.samples_seen if source.config.smoothed else 0,
-            )
-            readings += source.samples_seen
-            # Offered-side traffic comes from the fabric ledger, not the
-            # source: DKFSource.reset() wipes its counters on a crash /
-            # restart, while LinkStats span the source's whole lifetime
-            # -- the conservation law must survive mid-run restarts.
-            updates += stats.offered - stats.resyncs - stats.heartbeats
-            retransmits += stats.resyncs
-            heartbeats += stats.heartbeats
-            corrupted += stats.corrupted
-            acks_delivered += stats.acks_delivered
-        return EngineReport(
-            ticks=self._ticks,
-            readings=readings,
-            updates_sent=updates,
-            bytes_delivered=self._fabric.total_bytes(),
-            messages_lost=self._fabric.total_lost(),
-            in_flight=self._fabric.total_in_flight(),
-            retransmits=retransmits,
-            heartbeats=heartbeats,
-            corrupted=corrupted,
-            acks_delivered=acks_delivered,
-            per_source_energy=per_source_energy,
-        )
-
-    def obs_snapshot(self, meta: dict | None = None) -> dict:
-        """Telemetry snapshot of this run (``repro.obs/v2`` schema).
-
-        Merges the engine's traffic report into ``meta`` so a snapshot is
-        self-describing even when telemetry was disabled (counters empty).
-        Building the snapshot flushes the final tick into the metric
-        history, so the exported series cover the whole run.
-        """
-        merged = {"ticks": self._ticks, "report": self.report().to_dict()}
-        if self._resilience is not None:
-            merged["resilience"] = self.resilience_report()
-        if meta:
-            merged.update(meta)
-        return build_snapshot(self._tel, meta=merged)

@@ -284,6 +284,25 @@ class GilbertElliottLoss:
         return self._decisions[index]
 
 
+def either(
+    first: Callable[[int], bool] | None, second: Callable[[int], bool] | None
+) -> Callable[[int], bool] | None:
+    """OR two optional link predicates (fault layering on one link).
+
+    A message is dropped (or corrupted) when *either* predicate says so;
+    a missing predicate leaves the other unchanged.
+    """
+    if first is None:
+        return second
+    if second is None:
+        return first
+
+    def drop(index: int) -> bool:
+        return bool(first(index)) or bool(second(index))
+
+    return drop
+
+
 class FaultSchedule:
     """A seeded, deterministic script of failures for one engine run.
 

@@ -35,26 +35,20 @@ Robustness semantics (the headline):
 from __future__ import annotations
 
 import dataclasses
+import itertools
+from collections.abc import Iterator
 
 import numpy as np
 
 from repro.dkf.config import TransportPolicy
-from repro.dkf.protocol import (
-    AckMessage,
-    HeartbeatMessage,
-    ResyncMessage,
-    UpdateMessage,
-)
+from repro.dkf.protocol import ResyncMessage, UpdateMessage
 from repro.dkf.source import DKFSource
-from repro.dsms.faults import FaultSchedule
+from repro.dsms.core import StreamFacade, pick_answer
+from repro.dsms.faults import FaultSchedule, either
 from repro.dsms.network import LinkConfig, NetworkFabric
 from repro.dsms.query import ContinuousQuery, QueryAnswer
-from repro.dsms.registry import SourceRegistry
-from repro.errors import (
-    ConfigurationError,
-    StreamExhaustedError,
-    UnknownSourceError,
-)
+from repro.dsms.sources import SourceSide, answer_view
+from repro.errors import ConfigurationError, UnknownSourceError
 from repro.federation.config import FederationConfig
 from repro.federation.consensus import (
     ConsensusRoundInfo,
@@ -73,9 +67,8 @@ from repro.federation.protocol import (
 )
 from repro.filters.models import StateSpaceModel
 from repro.obs.events import trace_id
-from repro.obs.telemetry import NULL_TELEMETRY
 from repro.resilience.supervisor import StreamSupervisor
-from repro.streams.base import MaterializedStream, StreamCursor
+from repro.streams.base import MaterializedStream
 
 __all__ = ["FederatedCluster", "FederationReport"]
 
@@ -135,20 +128,31 @@ class FederationReport:
         return dataclasses.asdict(self)
 
 
-def _either(first, second):
-    """Compose two optional loss predicates with OR (fault layering)."""
-    if first is None:
-        return second
-    if second is None:
-        return first
-
-    def drop(index: int) -> bool:
-        return bool(first(index)) or bool(second(index))
-
-    return drop
+def _serves(peer: PeerNode, stream: str) -> bool:
+    """Whether an alive peer holds a primed bank for the stream."""
+    return (
+        peer.alive
+        and stream in peer.server.source_ids
+        and peer.server.is_primed(stream)
+    )
 
 
-class FederatedCluster:
+def _freshest(peers: list[PeerNode], stream: str) -> PeerNode:
+    """Promotion order: highest applied sequence, then highest epoch,
+    then lowest peer id -- the same pick on every peer."""
+    return min(
+        peers,
+        key=lambda p: (-p.last_applied_seq(stream), -p.epoch, p.peer_id),
+    )
+
+
+def _applied(peer: PeerNode, stream: str) -> int:
+    """Frames (updates + resyncs) the peer's bank applied for a stream."""
+    stats = peer.server.stats(stream)
+    return int(stats["updates_received"]) + int(stats["resyncs_received"])
+
+
+class FederatedCluster(StreamFacade):
     """N peer servers, consensus fusion, failover -- one facade.
 
     The public surface mirrors :class:`~repro.dsms.engine.StreamEngine`
@@ -163,30 +167,21 @@ class FederatedCluster:
             banks, both fabrics and the failover supervisor.
     """
 
+    _run_span = "federation.run"
+
     def __init__(
         self,
         config: FederationConfig | None = None,
         telemetry=None,
     ) -> None:
+        super().__init__(telemetry)
         self._cfg = config or FederationConfig()
-        self._tel = telemetry or NULL_TELEMETRY
         self._graph = PeerGraph(self._cfg.peer_ids, self._cfg.topology)
         self._peers = {
             pid: PeerNode(pid, telemetry=self._tel)
             for pid in self._cfg.peer_ids
         }
-        self.registry = SourceRegistry()
-        self._sources: dict[str, DKFSource] = {}
-        self._cursors: dict[str, StreamCursor] = {}
-        self._links: dict[str, LinkConfig] = {}
-        self._transports: dict[str, TransportPolicy] = {}
         self._drift: dict[str, float] = {}
-        self._ticks = 0
-        self._exhausted: set[str] = set()
-        self._faults: FaultSchedule | None = None
-        self._latency_overrides: dict[str, tuple[int, int]] = {}
-        self._resync_prime: set[str] = set()
-        self._down_now: set[str] = set()
         # Federation routing state (the cluster's ingress table).
         self._home: dict[str, str] = {}
         self._home_epoch: dict[str, int] = {}
@@ -194,7 +189,7 @@ class FederatedCluster:
         self._supervisor = StreamSupervisor(
             self._cfg.failover.restart, telemetry=self._tel
         )
-        self._peer_seq: dict[str, int] = {}
+        self._peer_seq: dict[str, Iterator[int]] = {}
         self._round_index = 0
         self._consensus_rounds = 0
         self._failovers = 0
@@ -202,9 +197,11 @@ class FederatedCluster:
         self._rehome_baseline: dict[str, tuple[int, int]] = {}
         self._dropped_at_dead_peer = 0
         self._split_brain_ticks = 0
-        self._source_fabric = NetworkFabric(
+        # The supervisor above paces failovers; a crashed source
+        # restarts the moment its fault window ends.
+        self._side = SourceSide(
             deliver=self._deliver_from_source,
-            deliver_ack=self._on_ack,
+            advance=self._tick_banks,
             telemetry=self._tel,
         )
         self._peer_fabric = NetworkFabric(
@@ -217,7 +214,8 @@ class FederatedCluster:
                 link = peer_link_id(a, b)
                 self._peer_fabric.add_link(link, self._cfg.peer_link)
                 self._peer_links[link] = self._cfg.peer_link
-                self._peer_seq[link] = 0
+                self._peer_seq[link] = itertools.count()
+        self._side.routes.append((self._peer_fabric, self._peer_links))
 
     # Introspection --------------------------------------------------------
 
@@ -239,27 +237,12 @@ class FederatedCluster:
     @property
     def sources(self) -> dict[str, DKFSource]:
         """The installed source-side DKF endpoints (live objects)."""
-        return dict(self._sources)
-
-    @property
-    def ticks(self) -> int:
-        """Sampling instants processed so far."""
-        return self._ticks
-
-    @property
-    def faults(self) -> FaultSchedule | None:
-        """The injected fault schedule, if any."""
-        return self._faults
-
-    @property
-    def telemetry(self):
-        """The telemetry handle."""
-        return self._tel
+        return dict(self._side.sources)
 
     @property
     def source_fabric(self) -> NetworkFabric:
         """The source-to-cluster fabric (live object)."""
-        return self._source_fabric
+        return self._side.fabric
 
     @property
     def peer_fabric(self) -> NetworkFabric:
@@ -311,10 +294,7 @@ class FederatedCluster:
         self.registry.register_source(
             source_id, model, default_smoothing_r=default_smoothing_r
         )
-        self._cursors[source_id] = StreamCursor(stream)
-        self._source_fabric.add_link(source_id, link)
-        self._links[source_id] = link or LinkConfig()
-        self._transports[source_id] = transport or TransportPolicy()
+        self._side.add(source_id, stream, link, transport)
         self._drift[source_id] = staleness_drift(model)
         home = self._graph.home(source_id)
         self._home[source_id] = home
@@ -325,42 +305,13 @@ class FederatedCluster:
         for peer in self._peers.values():
             peer.adopt_claim(source_id, home, epoch=0)
 
-    def submit_query(self, query: ContinuousQuery) -> None:
-        """Activate a continuous query, (re)installing the stream's DKF.
-
-        The filter bank is installed on the home *and* every replica
-        peer; the tightest active δ wins, exactly as on the
-        single-server engine.
-        """
-        descriptor = self.registry.add_query(query)
-        config = descriptor.build_config()
-        existing = self._sources.get(query.source_id)
-        if existing is not None and existing.config == config:
-            return
-        self._install(query.source_id, config)
-
-    def retire_query(self, query_id: str) -> None:
-        """Deactivate a query; tear down the DKF when none remain."""
-        descriptor = self.registry.remove_query(query_id)
-        source_id = descriptor.source_id
-        if not descriptor.queries:
-            if source_id in self._sources:
-                del self._sources[source_id]
-                for peer in self._peers.values():
-                    peer.uninstall(source_id)
-                self._exhausted.discard(source_id)
-                self._resync_prime.discard(source_id)
-            return
-        config = descriptor.build_config()
-        if self._sources[source_id].config != config:
-            self._install(source_id, config)
+    def _row_config(self, source_id: str):
+        return self._side.config(source_id)
 
     def _install(self, source_id: str, config) -> None:
-        transport = self._transports.get(source_id) or TransportPolicy()
-        self._sources[source_id] = DKFSource(
-            source_id, config, transport=transport, telemetry=self._tel
-        )
-        self._resync_prime.discard(source_id)
+        """Install the stream's filter bank on the home *and* every
+        replica peer (the tightest active δ wins, as on one server)."""
+        transport = self._side.install(source_id, config)
         holders = [self._home[source_id], *self._replicas[source_id]]
         for pid in holders:
             peer = self._peers[pid]
@@ -371,6 +322,11 @@ class FederatedCluster:
                 # re-register the bank.
                 peer.configs[source_id] = config
                 peer.transports[source_id] = transport
+
+    def _retire(self, source_id: str) -> None:
+        self._side.retire(source_id)
+        for peer in self._peers.values():
+            peer.uninstall(source_id)
 
     # Fault injection ------------------------------------------------------
 
@@ -383,35 +339,11 @@ class FederatedCluster:
         whose sides name peers and/or sources, and asymmetric windows on
         source links or directed peer links (``"p0>p1"``).
         """
-        schedule.reset()
-        schedule.bind_telemetry(self._tel)
+        # A source's link is severed when the cut separates it from its
+        # *current* ingress peer -- read live, so failover re-points it.
+        self._side.inject_faults(schedule, lambda sid: self._home[sid])
         self._faults = schedule
-        partitioned = (
-            schedule.partitioned_nodes() if schedule.has_partitions() else set()
-        )
-        for source_id in self._links:
-            loss = schedule.loss_fn(source_id)
-            corrupt = schedule.corrupt_fn(source_id)
-            sever = None
-            if partitioned:
-                # A source's link is severed when the cut separates it
-                # from its *current* ingress peer -- the closure reads
-                # the routing table live, so failover re-points it.
-                def sever(_index: int, _sid: str = source_id) -> bool:
-                    return schedule.link_severed(_sid, self._home[_sid])
-
-            if loss is None and corrupt is None and sever is None:
-                continue
-            base = self._source_fabric.link_config(source_id)
-            self._source_fabric.reconfigure_link(
-                source_id,
-                dataclasses.replace(
-                    base,
-                    loss_fn=_either(_either(base.loss_fn, loss), sever),
-                    ack_loss_fn=_either(base.ack_loss_fn, sever),
-                    corrupt_fn=_either(base.corrupt_fn, corrupt),
-                ),
-            )
+        partitioned = schedule.partitioned_nodes()
         if partitioned:
             for link in self._peer_links:
                 a, b = link.split(">")
@@ -425,47 +357,14 @@ class FederatedCluster:
                 self._peer_fabric.reconfigure_link(
                     link,
                     dataclasses.replace(
-                        base, loss_fn=_either(base.loss_fn, sever_peer)
+                        base, loss_fn=either(base.loss_fn, sever_peer)
                     ),
                 )
-            self._source_fabric.set_gate(
-                lambda link_id, tick: not schedule.link_severed(
-                    link_id, self._home[link_id], tick
-                )
-            )
             self._peer_fabric.set_gate(
                 lambda link_id, tick: not schedule.link_severed(
                     *link_id.split(">"), tick
                 )
             )
-
-    def _apply_latency_overrides(self, now: int) -> None:
-        """Apply/clear asymmetric-link windows on both fabrics."""
-        if not self._faults.asymmetric_links():
-            return
-        overrides = {
-            lid: extras
-            for lid, extras in self._faults.latency_overrides(now).items()
-            if lid in self._links or lid in self._peer_links
-        }
-        if overrides == self._latency_overrides:
-            return
-        for link_id in set(self._latency_overrides) | set(overrides):
-            if link_id in self._links:
-                fabric, base = self._source_fabric, self._links[link_id]
-            else:
-                fabric, base = self._peer_fabric, self._peer_links[link_id]
-            data_extra, ack_extra = overrides.get(link_id, (0, 0))
-            current = fabric.link_config(link_id)
-            fabric.reconfigure_link(
-                link_id,
-                dataclasses.replace(
-                    current,
-                    latency_ticks=base.latency_ticks + data_extra,
-                    ack_latency_ticks=base.ack_latency_ticks + ack_extra,
-                ),
-            )
-        self._latency_overrides = overrides
 
     # Peer lifecycle -------------------------------------------------------
 
@@ -505,19 +404,13 @@ class FederatedCluster:
                 source_id, self._cfg.replication, home=home
             )
             self._replicas[source_id] = replicas
-            config = self._sources.get(source_id)
+            config = self._side.config(source_id)
             if config is None:
                 continue
-            transport = self._transports[source_id]
-            for pid in replicas:
-                peer = self._peers[pid]
-                if (
-                    peer.alive
-                    and source_id not in peer.server.source_ids
-                ):
-                    peer.install(
-                        source_id, config.config, transport=transport
-                    )
+            transport = self._side.transports[source_id]
+            for peer in self._alive(replicas):
+                if source_id not in peer.server.source_ids:
+                    peer.install(source_id, config, transport=transport)
 
     def _apply_peer_faults(self, now: int) -> None:
         """Consume peer crash/restart windows from the fault schedule."""
@@ -545,16 +438,13 @@ class FederatedCluster:
         now = self._ticks
         tel.set_tick(now)
         with tel.timers.span("federation.step"):
-            if self._faults is not None:
-                self._faults.observe_tick(now)
-                self._apply_latency_overrides(now)
-                self._apply_peer_faults(now)
-            processed = self._step_sources(now)
+            self._apply_peer_faults(now)
+            processed = self._side.step(now)
             self._ticks += 1
             for peer in self._peers.values():
                 if peer.alive:
                     peer.server.advance_clock(self._ticks)
-            self._source_fabric.advance(self._ticks)
+            self._side.fabric.advance(self._ticks)
             self._peer_fabric.advance(self._ticks)
             self._route_peer_outboxes()
             self._emit_heartbeats(self._ticks)
@@ -567,68 +457,17 @@ class FederatedCluster:
                 self._split_brain_ticks += 1
         return processed
 
-    def _step_sources(self, now: int) -> int:
-        """Readings + transport for every source (mirrors the engine)."""
-        tel = self._tel
-        processed = 0
-        for source_id, source in self._sources.items():
-            if self._faults is not None:
-                if self._faults.restarts_at(source_id, now):
-                    source.reset(now)
-                    self._resync_prime.add(source_id)
-                    self._down_now.discard(source_id)
-                    if tel.enabled:
-                        tel.emit("fault.restart", source_id=source_id)
-                        tel.count("restarts_total", source_id)
-                if self._faults.is_down(source_id, now):
-                    if source_id not in self._down_now:
-                        self._down_now.add(source_id)
-                        if tel.enabled:
-                            tel.emit("fault.crash", source_id=source_id)
-                            tel.count("crashes_total", source_id)
-                    self._tick_banks(source_id, now)
-                    if self._faults.is_terminal(source_id, now):
-                        self._exhausted.add(source_id)
-                    continue
-            if source_id not in self._exhausted:
-                cursor = self._cursors[source_id]
-                try:
-                    record = cursor.next()
-                except StreamExhaustedError:
-                    self._exhausted.add(source_id)
-                else:
-                    if self._faults is not None:
-                        record = self._faults.transform(source_id, now, record)
-                    self._tick_banks(source_id, record.k)
-                    step = source.sample(record)
-                    message = step.message
-                    if message is not None:
-                        if source_id in self._resync_prime:
-                            self._resync_prime.discard(source_id)
-                            message = source.resync_message(
-                                record.k, step.value
-                            )
-                        self._source_fabric.send(message)
-                        source.note_sent(message, now)
-                    processed += 1
-            for message in source.poll_transport(now):
-                self._source_fabric.send(message)
-        return processed
-
-    def _tick_banks(self, source_id: str, k: int) -> None:
+    def _tick_banks(self, source_id: str, k: int, _sampled: bool) -> None:
         """Advance every alive bank holding the stream one instant.
 
-        Home and replicas alike predict every sampled instant -- a
-        replica's filter must be time-aligned before the (1-tick-late)
-        forwarded correction lands, just as the server predicts every
-        instant in the single-server protocol.
+        Home and replicas alike predict every instant -- a replica's
+        filter must be time-aligned before the (1-tick-late) forwarded
+        correction lands, just as the server predicts every instant in
+        the single-server protocol.  Only primed banks predict, whether
+        or not the source sampled.
         """
         for peer in self._peers.values():
-            if (
-                peer.alive
-                and source_id in peer.server.source_ids
-                and peer.server.is_primed(source_id)
-            ):
+            if _serves(peer, source_id):
                 peer.server.tick(source_id, k)
 
     # Delivery -------------------------------------------------------------
@@ -671,10 +510,11 @@ class FederatedCluster:
         link = peer_link_id(home, replica)
         if link not in self._peer_links:
             return
-        seq = self._peer_seq[link]
-        self._peer_seq[link] = seq + 1
         frame = ReplicaFrame(
-            link_id=link, seq=seq, k=payload.k, payload=payload
+            link_id=link,
+            seq=next(self._peer_seq[link]),
+            k=payload.k,
+            payload=payload,
         )
         if self._tel.enabled:
             self._tel.emit(
@@ -715,12 +555,6 @@ class FederatedCluster:
         if isinstance(frame, RehomeClaim):
             peer.adopt_claim(frame.stream_id, frame.new_home, frame.epoch)
 
-    def _on_ack(self, ack: AckMessage) -> None:
-        """Source fabric ack deliver: hand the ack to its source."""
-        source = self._sources.get(ack.source_id)
-        if source is not None:
-            source.on_ack(ack, self._ticks)
-
     def _route_peer_outboxes(self) -> None:
         """Drain every bank's ack outbox to the right consumer.
 
@@ -738,7 +572,7 @@ class FederatedCluster:
             for ack in peer.server.take_outbox():
                 stream = ack.source_id
                 if self._home.get(stream) == pid:
-                    self._source_fabric.send_ack(ack)
+                    self._side.fabric.send_ack(ack)
                 elif ack.resync_requested:
                     self._heal_replica(stream, pid)
 
@@ -748,11 +582,7 @@ class FederatedCluster:
         if home_id is None or home_id == replica:
             return
         home = self._peers[home_id]
-        if (
-            not home.alive
-            or stream not in home.server.source_ids
-            or not home.server.is_primed(stream)
-        ):
+        if not _serves(home, stream):
             return
         view = home.server.health_view(stream)
         stats = home.server.stats(stream)
@@ -784,18 +614,17 @@ class FederatedCluster:
             if not peer.alive:
                 continue
             for neighbor in self._graph.neighbors(pid):
-                link = peer_link_id(pid, neighbor)
-                seq = self._peer_seq[link]
-                self._peer_seq[link] = seq + 1
-                self._peer_fabric.send(
-                    PeerHeartbeat(
-                        link_id=link,
-                        seq=seq,
-                        k=tick,
-                        peer_id=pid,
-                        epoch=peer.epoch,
-                    )
+                self._send_peer(
+                    pid, neighbor, PeerHeartbeat,
+                    k=tick, peer_id=pid, epoch=peer.epoch,
                 )
+
+    def _send_peer(self, sender: str, receiver: str, frame_type, **fields):
+        """Send one frame on the directed ``sender>receiver`` peer link."""
+        link = peer_link_id(sender, receiver)
+        self._peer_fabric.send(
+            frame_type(link_id=link, seq=next(self._peer_seq[link]), **fields)
+        )
 
     def _check_failover(self, now: int) -> None:
         """Re-home streams whose home is confirmed dead.
@@ -813,37 +642,24 @@ class FederatedCluster:
         policy = self._cfg.failover
         for source_id, home_id in list(self._home.items()):
             home = self._peers[home_id]
-            if home.alive or source_id not in self._sources:
+            if home.alive or source_id not in self._side.sources:
                 continue
-            candidates = [
-                self._peers[pid]
-                for pid in self._replicas.get(source_id, [])
-                if self._peers[pid].alive
-            ]
-            if not candidates:
-                # No replica holds the stream: fall back to rendezvous
-                # order over the survivors; the source's own resync will
-                # prime the empty bank.
-                candidates = [
-                    self._peers[pid]
-                    for pid in self._graph.rank(source_id)
-                    if self._peers[pid].alive
-                ]
+            # With no alive replica, fall back to rendezvous order over
+            # the survivors; the source's own resync will prime the
+            # empty bank.
+            candidates = self._alive(self._replicas.get(source_id, []))
+            candidates = candidates or self._alive(self._graph.rank(source_id))
             if not candidates:
                 continue
-            best = min(
-                candidates,
-                key=lambda p: (
-                    -p.last_applied_seq(source_id),
-                    -p.epoch,
-                    p.peer_id,
-                ),
-            )
+            best = _freshest(candidates, source_id)
             if best.silence(home_id, now) <= policy.dead_after_ticks:
                 continue
             if not self._supervisor.request_restart(source_id, now):
                 continue
             self._promote(source_id, home_id, best.peer_id, now)
+
+    def _alive(self, peer_ids: list[str]) -> list[PeerNode]:
+        return [self._peers[pid] for pid in peer_ids if self._peers[pid].alive]
 
     def _promote(
         self, source_id: str, old_home: str, new_home: str, now: int
@@ -854,38 +670,24 @@ class FederatedCluster:
         epoch = self._home_epoch[source_id]
         peer = self._peers[new_home]
         if source_id not in peer.server.source_ids:
-            config = self._sources[source_id].config
+            config = self._side.sources[source_id].config
             peer.install(
-                source_id, config, transport=self._transports[source_id]
+                source_id, config, transport=self._side.transports[source_id]
             )
         peer.adopt_claim(source_id, new_home, epoch)
-        self._replicas[source_id] = self._graph.replicas(
-            source_id, self._cfg.replication, home=new_home
-        )
         self._recompute_replicas()
-        last_seq = peer.last_applied_seq(source_id)
+        last_seq = max(0, peer.last_applied_seq(source_id))
         for neighbor in self._graph.neighbors(new_home):
-            link = peer_link_id(new_home, neighbor)
-            seq = self._peer_seq[link]
-            self._peer_seq[link] = seq + 1
-            self._peer_fabric.send(
-                RehomeClaim(
-                    link_id=link,
-                    seq=seq,
-                    k=now,
-                    stream_id=source_id,
-                    new_home=new_home,
-                    epoch=epoch,
-                    last_seq=max(0, last_seq),
-                )
+            self._send_peer(
+                new_home, neighbor, RehomeClaim, k=now, stream_id=source_id,
+                new_home=new_home, epoch=epoch, last_seq=last_seq,
             )
-        stats_applied = 0
-        if source_id in peer.server.source_ids:
-            stats = peer.server.stats(source_id)
-            stats_applied = int(stats["updates_received"]) + int(
-                stats["resyncs_received"]
-            )
-        self._rehome_baseline[source_id] = (now, stats_applied)
+        self._rehome_baseline[source_id] = (
+            now,
+            _applied(peer, source_id)
+            if source_id in peer.server.source_ids
+            else 0,
+        )
         self._failovers += 1
         if self._tel.enabled:
             self._tel.emit(
@@ -906,11 +708,7 @@ class FederatedCluster:
             peer = self._peers[self._home[source_id]]
             if not peer.alive or source_id not in peer.server.source_ids:
                 continue
-            stats = peer.server.stats(source_id)
-            applied = int(stats["updates_received"]) + int(
-                stats["resyncs_received"]
-            )
-            if applied > baseline:
+            if _applied(peer, source_id) > baseline:
                 latency = now - started
                 self._rehome_latencies.append(latency)
                 del self._rehome_baseline[source_id]
@@ -972,10 +770,10 @@ class FederatedCluster:
                     if neighbor not in holders:
                         continue
                     link = peer_link_id(pid, neighbor)
-                    seq = self._peer_seq[link]
-                    self._peer_seq[link] = seq + 1
                     self._peer_fabric.send(
-                        dataclasses.replace(share, link_id=link, seq=seq)
+                        dataclasses.replace(
+                            share, link_id=link, seq=next(self._peer_seq[link])
+                        )
                     )
 
     def _build_share(
@@ -1095,7 +893,7 @@ class FederatedCluster:
         """
         out = []
         for query in self.registry.active_queries:
-            source = self._sources.get(query.source_id)
+            source = self._side.sources.get(query.source_id)
             if source is None:
                 continue
             answer = self._answer_for(query, source, peer_id)
@@ -1105,10 +903,7 @@ class FederatedCluster:
 
     def answer(self, query_id: str, peer_id: str | None = None) -> QueryAnswer:
         """The current answer for one query (optionally one peer's view)."""
-        for candidate in self.answers(peer_id):
-            if candidate.query_id == query_id:
-                return candidate
-        raise UnknownSourceError(f"no answer available for query {query_id!r}")
+        return pick_answer(query_id, self.answers(peer_id))
 
     def _answer_for(
         self, query: ContinuousQuery, source: DKFSource, peer_id: str | None
@@ -1125,18 +920,10 @@ class FederatedCluster:
         peer = self.peer(peer_id)
         if not peer.alive:
             return None
-        if (
-            stream in peer.server.source_ids
-            and peer.server.is_primed(stream)
-        ):
+        if _serves(peer, stream):
             return self._bank_answer(query, source, peer, home_id)
         home = self._peers[home_id]
-        if (
-            home.alive
-            and self._peer_reachable(peer_id, home_id)
-            and stream in home.server.source_ids
-            and home.server.is_primed(stream)
-        ):
+        if _serves(home, stream) and self._peer_reachable(peer_id, home_id):
             proxied = self._bank_answer(query, source, home, home_id)
             if proxied is None:
                 return None
@@ -1152,25 +939,14 @@ class FederatedCluster:
     def _serving_peer(self, stream: str) -> PeerNode | None:
         """The default serving bank: home, else the freshest replica."""
         home = self._peers[self._home[stream]]
-        if (
-            home.alive
-            and stream in home.server.source_ids
-            and home.server.is_primed(stream)
-        ):
+        if _serves(home, stream):
             return home
         holders = [
             self._peers[pid]
             for pid in self._replicas.get(stream, [])
-            if self._peers[pid].alive
-            and stream in self._peers[pid].server.source_ids
-            and self._peers[pid].server.is_primed(stream)
+            if _serves(self._peers[pid], stream)
         ]
-        if not holders:
-            return None
-        return min(
-            holders,
-            key=lambda p: (-p.last_applied_seq(stream), -p.epoch, p.peer_id),
-        )
+        return _freshest(holders, stream) if holders else None
 
     def _bank_answer(
         self,
@@ -1183,8 +959,9 @@ class FederatedCluster:
         stream = query.source_id
         if not peer.server.is_primed(stream):
             return None
-        value = peer.server.value(stream)
-        live = peer.server.liveness(stream)
+        k, value, precision, staleness, confidence, suspect = answer_view(
+            peer.server, source
+        )
         is_home = peer.peer_id == home_id and self._peers[home_id].alive
         if is_home:
             consensus_error = 0.0
@@ -1196,7 +973,7 @@ class FederatedCluster:
             # since the cut is stale however recently it "agreed" with
             # itself.
             drift = self._drift[stream]
-            stale_bound = drift * max(1, int(live["staleness_ticks"]))
+            stale_bound = drift * max(1, staleness)
             info = peer.consensus.get(stream)
             if info is not None:
                 consensus_error = max(
@@ -1204,7 +981,7 @@ class FederatedCluster:
                 )
             else:
                 consensus_error = stale_bound
-        degraded = bool(live["suspect"]) or not is_home
+        degraded = suspect or not is_home
         if (
             self._faults is not None
             and self._faults.partition_active(self._ticks)
@@ -1217,20 +994,16 @@ class FederatedCluster:
             # serving view records -- per-peer diagnostic views would
             # report a replica's honest-but-wide bound as if it were the
             # answer the system served.
-            self._tel.observe(
-                "staleness_at_answer_ticks",
-                int(live["staleness_ticks"]),
-                stream,
-            )
+            self._tel.observe("staleness_at_answer_ticks", staleness, stream)
             self._tel.gauge("consensus_error", float(consensus_error), stream)
         return QueryAnswer(
             query_id=query.query_id,
             source_id=stream,
-            k=int(peer.server.stats(stream)["last_k"]),
-            value=tuple(float(v) for v in value),
-            precision=source.effective_min_delta,
-            staleness_ticks=int(live["staleness_ticks"]),
-            confidence=peer.server.confidence(stream),
+            k=k,
+            value=value,
+            precision=precision,
+            staleness_ticks=staleness,
+            confidence=confidence,
             degraded=degraded,
             consensus_error=float(consensus_error),
         )
@@ -1252,51 +1025,22 @@ class FederatedCluster:
                 return to_peer in component
         return False
 
-    # Run loop -------------------------------------------------------------
+    # Run-loop hooks -------------------------------------------------------
 
-    def run(self, max_ticks: int | None = None) -> int:
-        """Step until every stream is exhausted (or ``max_ticks``)."""
-        executed = 0
-        with self._tel.timers.span("federation.run"):
-            while max_ticks is None or executed < max_ticks:
-                if self._sources and len(self._exhausted) == len(
-                    self._sources
-                ):
-                    break
-                if (
-                    self.step() == 0
-                    and self._sources
-                    and len(self._exhausted) == len(self._sources)
-                ):
-                    break
-                executed += 1
-            if self._sources and len(self._exhausted) == len(self._sources):
-                self._flush_in_flight()
-        return executed
+    def _drained(self) -> bool:
+        return self._side.drained()
 
-    def settle(self, max_ticks: int = 256) -> int:
-        """Tick until the transport quiesces (post-run grace period)."""
-        executed = 0
-        while executed < max_ticks:
-            pending = sum(s.pending_acks for s in self._sources.values())
-            if (
-                pending == 0
-                and self._source_fabric.total_in_flight() == 0
-                and self._peer_fabric.total_in_flight() == 0
-            ):
-                break
-            self.step()
-            executed += 1
-        return executed
+    def _quiet(self) -> bool:
+        return self._side.quiet() and self._peer_fabric.total_in_flight() == 0
 
     def _flush_in_flight(self) -> None:
         """Deliver stranded traffic on both fabrics (and resulting acks)."""
         while True:
-            drained = self._source_fabric.drain()
+            drained = self._side.fabric.drain()
             drained += self._peer_fabric.drain()
-            before = self._source_fabric.total_in_flight()
+            before = self._side.fabric.total_in_flight()
             self._route_peer_outboxes()
-            grew = self._source_fabric.total_in_flight() > before
+            grew = self._side.fabric.total_in_flight() > before
             if drained == 0 and not grew:
                 break
 
@@ -1304,9 +1048,7 @@ class FederatedCluster:
 
     def report(self) -> FederationReport:
         """Cluster-wide traffic and robustness summary."""
-        src = [
-            self._source_fabric.stats_for(sid) for sid in self._links
-        ]
+        src = [self._side.fabric.stats_for(sid) for sid in self._side.links]
         peer = [
             self._peer_fabric.stats_for(lid) for lid in self._peer_links
         ]
@@ -1319,7 +1061,7 @@ class FederatedCluster:
             ),
             source_lost=sum(s.lost + s.acks_lost for s in src),
             source_corrupted=sum(s.corrupted for s in src),
-            source_in_flight=self._source_fabric.total_in_flight(),
+            source_in_flight=self._side.fabric.total_in_flight(),
             peer_offered=sum(s.offered for s in peer),
             peer_delivered=sum(s.delivered for s in peer),
             peer_lost=sum(s.lost for s in peer),

@@ -27,9 +27,17 @@ import os
 import zlib
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import CheckpointError
 
-__all__ = ["CheckpointStore", "CHECKPOINT_SCHEMA", "validate_checkpoint"]
+__all__ = [
+    "CheckpointStore",
+    "CHECKPOINT_SCHEMA",
+    "build_checkpoint",
+    "validate_checkpoint",
+    "wal_record",
+]
 
 #: Schema marker embedded in (and required of) every snapshot.
 CHECKPOINT_SCHEMA = "repro.ckpt-v1"
@@ -88,6 +96,42 @@ def validate_checkpoint(snapshot: dict) -> None:
             raise CheckpointError(
                 f"checkpoint source {source_id!r} filter needs x, p, k"
             )
+
+
+def build_checkpoint(
+    tick: int, server_clock: int, sources: dict, meta: dict | None = None
+) -> dict:
+    """The ``repro.ckpt-v1`` snapshot of a server filter bank.
+
+    ``sources`` maps each source id to its exported per-source state
+    (``DKFServer.export_source_state`` shape); ``meta`` rides along
+    only when given.
+    """
+    snapshot = {
+        "schema": CHECKPOINT_SCHEMA,
+        "tick": int(tick),
+        "server_clock": int(server_clock),
+        "sources": sources,
+    }
+    if meta is not None:
+        snapshot["meta"] = meta
+    return snapshot
+
+
+def wal_record(source_id: str, seq, k, value, x=None, p=None) -> dict:
+    """One WAL record: an applied update, or a resync when ``x``/``p``
+    (the snapshot's state and covariance) are given."""
+    record = {
+        "kind": "update" if x is None else "resync",
+        "source_id": source_id,
+        "seq": int(seq),
+        "k": int(k),
+        "value": np.asarray(value, dtype=float).tolist(),
+    }
+    if x is not None:
+        record["x"] = np.asarray(x, dtype=float).tolist()
+        record["p"] = np.asarray(p, dtype=float).tolist()
+    return record
 
 
 def _canonical(record: dict) -> str:

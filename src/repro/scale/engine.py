@@ -48,22 +48,20 @@ import numpy as np
 from repro.autoscale.config import AutoscalePolicy
 from repro.autoscale.controller import ShardAutoscaler
 from repro.dkf.config import TransportPolicy
+from repro.dsms.core import EngineCore, LedgerRow
 from repro.dsms.energy import EnergyModel
-from repro.dsms.engine import EngineReport
-from repro.dsms.faults import FaultSchedule
+from repro.dsms.faults import FaultSchedule, either
 from repro.dsms.network import LinkConfig
-from repro.dsms.query import ContinuousQuery, QueryAnswer
-from repro.dsms.registry import SourceRegistry
 from repro.errors import ConfigurationError, UnknownSourceError
 from repro.filters.models import StateSpaceModel
-from repro.obs.exporters import build_snapshot
-from repro.obs.telemetry import NULL_TELEMETRY
-from repro.resilience.checkpoint import CHECKPOINT_SCHEMA, CheckpointStore
 from repro.resilience.config import ResilienceConfig
-from repro.resilience.supervisor import StreamSupervisor
-from repro.resilience.watchdog import DivergenceWatchdog
 from repro.scale.pool import WorkerPool
-from repro.scale.shard import ShardRouter, ShardRuntime, model_signature
+from repro.scale.shard import (
+    SERVER_COUNTERS,
+    ShardRouter,
+    ShardRuntime,
+    model_signature,
+)
 from repro.streams.base import MaterializedStream
 
 __all__ = ["BatchStreamEngine"]
@@ -72,20 +70,7 @@ __all__ = ["BatchStreamEngine"]
 _EMA_ALPHA = 0.2
 
 
-def _compose(first, second):
-    """OR two optional loss predicates (fault layering on one link)."""
-    if first is None:
-        return second
-    if second is None:
-        return first
-
-    def drop(index: int) -> bool:
-        return bool(first(index)) or bool(second(index))
-
-    return drop
-
-
-class BatchStreamEngine:
+class BatchStreamEngine(EngineCore):
     """Sharded, vectorized drop-in for :class:`StreamEngine`.
 
     Args:
@@ -118,20 +103,13 @@ class BatchStreamEngine:
         latency_budget_us: float | None = None,
         autoscale: AutoscalePolicy | None = None,
     ) -> None:
-        self.registry = SourceRegistry()
-        self._tel = telemetry or NULL_TELEMETRY
-        self._resilience = resilience
-        if resilience is not None:
-            resilience.validate()
-            if resilience.overload is not None:
-                raise ConfigurationError(
-                    "the batch engine applies deliveries synchronously and "
-                    "has no server inbox; overload shedding requires the "
-                    "scalar StreamEngine"
-                )
-        self._track_health = (
-            resilience is not None and resilience.watchdog is not None
-        )
+        if resilience is not None and resilience.overload is not None:
+            raise ConfigurationError(
+                "the batch engine applies deliveries synchronously and "
+                "has no server inbox; overload shedding requires the "
+                "scalar StreamEngine"
+            )
+        super().__init__(energy_model, telemetry, resilience)
         self._router = ShardRouter(
             max_shard_rows=max_shard_rows, track_health=self._track_health
         )
@@ -140,7 +118,6 @@ class BatchStreamEngine:
         self._shard_ema_us: dict[str, float] = {}
         self._rebalances = 0
         self._merges = 0
-        self._autoscaler: ShardAutoscaler | None = None
         if autoscale is not None:
             autoscale.validate()
             if latency_budget_us is None:
@@ -152,88 +129,20 @@ class BatchStreamEngine:
             self._autoscaler = ShardAutoscaler(
                 autoscale, telemetry=self._tel
             )
-
-        self._energy = energy_model or EnergyModel()
         self._where: dict[str, tuple[ShardRuntime, int]] = {}
         self._models: dict[str, StateSpaceModel] = {}
         self._streams: dict[str, MaterializedStream] = {}
         self._transports: dict[str, TransportPolicy] = {}
-        self._priorities: dict[str, int] = {}
-        self._ticks = 0
-        self._server_clock = 0
-        self._faults: FaultSchedule | None = None
-
-        self._server_down = False
-        self._dropped_recovered = 0
-        self._recoveries = 0
-        self._ckpt: CheckpointStore | None = None
-        self._watchdog: DivergenceWatchdog | None = None
-        self._supervisor: StreamSupervisor | None = None
-        if resilience is not None:
-            if resilience.checkpoint_dir is not None:
-                self._ckpt = CheckpointStore(resilience.checkpoint_dir)
-            if resilience.watchdog is not None:
-                self._watchdog = DivergenceWatchdog(
-                    resilience.watchdog, telemetry=self._tel
-                )
-            if resilience.restart is not None:
-                self._supervisor = StreamSupervisor(
-                    resilience.restart, telemetry=self._tel
-                )
+        self._clock = 0
 
     # ------------------------------------------------------------------
     # Introspection (scalar-parity properties)
     # ------------------------------------------------------------------
 
     @property
-    def ticks(self) -> int:
-        """Sampling instants processed so far."""
-        return self._ticks
-
-    @property
-    def faults(self) -> FaultSchedule | None:
-        """The installed fault schedule, if any."""
-        return self._faults
-
-    @property
-    def telemetry(self):
-        """The telemetry handle this engine reports through."""
-        return self._tel
-
-    @property
-    def resilience(self) -> ResilienceConfig | None:
-        """The resilience configuration, if any."""
-        return self._resilience
-
-    @property
-    def server_down(self) -> bool:
-        """Whether the central server is currently crashed."""
-        return self._server_down
-
-    @property
-    def checkpoint_store(self) -> CheckpointStore | None:
-        """The durable checkpoint store, if configured."""
-        return self._ckpt
-
-    @property
-    def watchdog(self) -> DivergenceWatchdog | None:
-        """The divergence watchdog, if configured."""
-        return self._watchdog
-
-    @property
-    def supervisor(self) -> StreamSupervisor | None:
-        """The restart supervisor, if configured."""
-        return self._supervisor
-
-    @property
     def shards(self) -> list[ShardRuntime]:
         """Live shard runtimes (read-only view for tests and tooling)."""
         return list(self._router.shards)
-
-    @property
-    def autoscaler(self) -> ShardAutoscaler | None:
-        """The predictive shard autoscaler, if armed."""
-        return self._autoscaler
 
     @property
     def server(self):
@@ -278,7 +187,8 @@ class BatchStreamEngine:
 
         The batch transport is synchronous and lossless by construction
         (fault schedules layer loss back in per row), so only the default
-        zero-latency :class:`LinkConfig` is accepted.
+        zero-latency :class:`LinkConfig` is accepted.  ``priority`` only
+        steers overload shedding, which the batch engine does not run.
         """
         if link is not None and (
             link.latency_ticks != 0
@@ -298,7 +208,6 @@ class BatchStreamEngine:
         self._models[source_id] = model
         self._streams[source_id] = stream
         self._transports[source_id] = transport or TransportPolicy()
-        self._priorities[source_id] = priority
 
     def inject_faults(self, schedule: FaultSchedule) -> None:
         """Install a fault schedule; call after every ``add_source``."""
@@ -326,8 +235,8 @@ class BatchStreamEngine:
         if loss is not None or corrupt is not None:
             shard.set_link_faults(
                 row,
-                _compose(shard.loss_fns.get(row), loss),
-                _compose(shard.corrupt_fns.get(row), corrupt),
+                either(shard.loss_fns.get(row), loss),
+                either(shard.corrupt_fns.get(row), corrupt),
             )
         if source_id in schedule.crash_sources():
             shard.crash_rows.add(row)
@@ -352,78 +261,49 @@ class BatchStreamEngine:
                 "StreamEngine for glitch-gated sources"
             )
 
-    def submit_query(self, query: ContinuousQuery) -> None:
-        """Activate a continuous query, (re)installing the source's row."""
-        descriptor = self.registry.add_query(query)
-        config = descriptor.build_config()
-        where = self._where.get(query.source_id)
-        if where is not None and not where[0].retired[where[1]]:
-            if where[0].configs[where[1]] == config:
-                return
-        self._install(query.source_id, config)
+    def _live(self, source_id: str) -> tuple[ShardRuntime, int] | None:
+        """The source's ``(shard, row)`` while installed, else None."""
+        where = self._where.get(source_id)
+        if where is None or where[0].retired[where[1]]:
+            return None
+        return where
 
-    def retire_query(self, query_id: str) -> None:
-        """Deactivate a query; park the row when none remain."""
-        descriptor = self.registry.remove_query(query_id)
-        source_id = descriptor.source_id
-        if not descriptor.queries:
-            where = self._where.get(source_id)
-            if where is not None:
-                shard, row = where
-                shard.retired[row] = True
-                shard.exhausted[row] = False
-                shard.restart_pending.discard(row)
-                shard.resync_prime[row] = False
-                if self._watchdog is not None:
-                    self._watchdog.deregister(source_id)
-            return
-        config = descriptor.build_config()
-        shard, row = self._where[source_id]
-        if shard.configs[row] != config:
-            self._install(source_id, config)
+    def _row_config(self, source_id: str):
+        where = self._live(source_id)
+        return None if where is None else where[0].configs[where[1]]
 
-    def _install(self, source_id: str, config) -> None:
+    def _install_row(self, source_id: str, config) -> None:
         self._validate_config(config)
-        transport = self._transports.get(source_id) or TransportPolicy()
         where = self._where.get(source_id)
         if where is None:
-            model = self._models[source_id]
-            shard = self._router.place(model)
+            shard = self._router.place(self._models[source_id])
             stream = self._streams[source_id]
             row = shard.add_row(
                 source_id,
                 config,
-                transport,
+                self._transports[source_id],
                 stream.values(),
                 stream.timestamps(),
-                register_clock=self._server_clock,
+                register_clock=self._clock,
             )
             self._where[source_id] = (shard, row)
             self._bind_row_faults(shard, row, source_id)
         else:
             shard, row = where
-            shard.reconfigure_row(row, config, self._server_clock)
+            shard.reconfigure_row(row, config, self._clock)
             shard.retired[row] = False
-        if self._watchdog is not None:
-            self._watchdog.register(source_id)
+
+    def _retire_row(self, source_id: str) -> None:
+        """Park the row: it keeps its slot but stops sampling."""
+        shard, row = self._where[source_id]
+        shard.retired[row] = True
+        shard.exhausted[row] = False
+        shard.restart_pending.discard(row)
+        shard.resync_prime[row] = False
 
     # ------------------------------------------------------------------
     # Tick loop
     # ------------------------------------------------------------------
-
-    def _wal(self):
-        if self._ckpt is None:
-            return None
-        append = self._ckpt.wal_append
-        tel = self._tel
-        if not tel.enabled:
-            return append
-
-        def append_and_count(record: dict) -> None:
-            append(record)
-            tel.count("wal_records_total", record["source_id"])
-
-        return append_and_count
 
     def step(self) -> int:
         """Advance every queried source one sampling instant."""
@@ -432,7 +312,7 @@ class BatchStreamEngine:
         tel.set_tick(now)
         with tel.timers.span("engine.step"):
             processed = 0
-            wal = self._wal()
+            wal = None if self._ckpt is None else self._wal_append
             for shard in self._router.shards:
                 started = time.perf_counter()
                 processed += shard.step(
@@ -447,7 +327,7 @@ class BatchStreamEngine:
                 )
             self._ticks += 1
             if not self._server_down:
-                self._server_clock = self._ticks
+                self._clock = self._ticks
             for shard in self._router.shards:
                 if self._server_down:
                     shard._ack_queue.clear()
@@ -459,25 +339,15 @@ class BatchStreamEngine:
             self._maybe_autoscale(now)
         return processed
 
-    def _all_exhausted(self) -> bool:
-        for shard in self._router.shards:
-            if np.any(~shard.exhausted & ~shard.retired):
-                return False
-        return True
-
     def run(self, max_ticks: int | None = None) -> int:
-        """Run until every stream is exhausted (or ``max_ticks``)."""
+        """Run until every stream is exhausted (or ``max_ticks``).
+
+        Independent shards step in the worker pool when nothing couples
+        them tick by tick; otherwise the shared inline loop runs.
+        """
         if self._pool.parallel and self._pool_eligible():
             return self._run_pooled(max_ticks)
-        executed = 0
-        while max_ticks is None or executed < max_ticks:
-            if self._all_exhausted():
-                break
-            processed = self.step()
-            if processed == 0 and self._all_exhausted():
-                break
-            executed += 1
-        return executed
+        return super().run(max_ticks)
 
     def _pool_eligible(self) -> bool:
         """Whether shards can step independently in worker processes.
@@ -533,7 +403,7 @@ class BatchStreamEngine:
                     if shard.last_step_us is not None:
                         self._note_latency(shard, shard.last_step_us)
                 self._maybe_autoscale(now)
-        self._server_clock = self._ticks
+        self._clock = self._ticks
         return steps if steps < full else full - 1
 
     def _pooled_chunk(self, steps: int) -> None:
@@ -542,20 +412,16 @@ class BatchStreamEngine:
             self._router.shards, self._ticks, steps
         )
         self._where = {}
-        for shard in self._router.shards:
-            for source_id, row in shard.index.items():
-                self._where[source_id] = (shard, row)
+        self._reindex(*self._router.shards)
         self._ticks += steps
 
-    def settle(self, max_ticks: int = 256) -> int:
-        """Step until the transport goes quiet (no pending acks)."""
-        executed = 0
-        while executed < max_ticks:
-            if sum(s.pending_acks() for s in self._router.shards) == 0:
-                break
-            self.step()
-            executed += 1
-        return executed
+    def _drained(self) -> bool:
+        return not any(
+            np.any(~s.exhausted & ~s.retired) for s in self._router.shards
+        )
+
+    def _quiet(self) -> bool:
+        return sum(s.pending_acks() for s in self._router.shards) == 0
 
     # ------------------------------------------------------------------
     # Watchdog (batched battery, scalar ladder)
@@ -573,7 +439,7 @@ class BatchStreamEngine:
                 rows, policy.symmetry_tol, policy.psd_tol
             )
             staleness = np.maximum(
-                0, self._server_clock - shard.last_contact[rows]
+                0, self._clock - shard.last_contact[rows]
             )
             for i, row_i in enumerate(rows):
                 row = int(row_i)
@@ -638,26 +504,13 @@ class BatchStreamEngine:
                 continue
             if shard.rows < 2:
                 continue
-            low, high = shard.split()
-            self._router.replace(shard, (low, high))
-            self._shard_ema_us.pop(shard.shard_id, None)
-            self._shard_ema_us[low.shard_id] = ema / 2
-            self._shard_ema_us[high.shard_id] = ema / 2
-            for part in (low, high):
-                for source_id, row in part.index.items():
-                    self._where[source_id] = (part, row)
-            self._rebalances += 1
-            if self._tel.enabled:
-                self._tel.emit(
-                    "scale.rebalance",
-                    shard=shard.shard_id,
-                    rows=shard.rows,
-                    ema_us=ema,
-                )
-                self._tel.count("shard_splits_total")
+            self._split_shard(shard, ema)
 
-    def _split_shard(self, shard: ShardRuntime, ema: float) -> None:
-        """Replace ``shard`` with its halves (shared split bookkeeping)."""
+    def _split_shard(
+        self, shard: ShardRuntime, ema: float, **event_fields
+    ) -> None:
+        """Replace ``shard`` with its halves; ``event_fields`` extend the
+        ``scale.rebalance`` telemetry event (a planned split says so)."""
         low, high = shard.split()
         self._router.replace(shard, (low, high))
         self._shard_ema_us.pop(shard.shard_id, None)
@@ -665,9 +518,23 @@ class BatchStreamEngine:
         self._shard_ema_us[high.shard_id] = ema / 2
         if self._autoscaler is not None:
             self._autoscaler.forget(shard.shard_id)
-        for part in (low, high):
-            for source_id, row in part.index.items():
-                self._where[source_id] = (part, row)
+        self._reindex(low, high)
+        self._rebalances += 1
+        if self._tel.enabled:
+            self._tel.emit(
+                "scale.rebalance",
+                shard=shard.shard_id,
+                rows=shard.rows,
+                ema_us=ema,
+                **event_fields,
+            )
+            self._tel.count("shard_splits_total")
+
+    def _reindex(self, *shards: ShardRuntime) -> None:
+        """Point every row of ``shards`` back at its (new) home."""
+        for shard in shards:
+            for source_id, row in shard.index.items():
+                self._where[source_id] = (shard, row)
 
     def _maybe_autoscale(self, now: int) -> None:
         """Run the predictive control loop (split/merge/pool resize)."""
@@ -692,18 +559,9 @@ class BatchStreamEngine:
             # are skipped rather than actuated blind.
             if shard is None or shard.rows < 2:
                 continue
-            ema = self._shard_ema_us.get(shard_id) or 0.0
-            self._split_shard(shard, ema)
-            self._rebalances += 1
-            if self._tel.enabled:
-                self._tel.emit(
-                    "scale.rebalance",
-                    shard=shard_id,
-                    rows=shard.rows,
-                    ema_us=ema,
-                    planned=True,
-                )
-                self._tel.count("shard_splits_total")
+            self._split_shard(
+                shard, self._shard_ema_us.get(shard_id) or 0.0, planned=True
+            )
         by_id = {s.shard_id: s for s in self._router.shards}
         for first_id, second_id in plan.merge_pairs:
             first = by_id.get(first_id)
@@ -725,8 +583,7 @@ class BatchStreamEngine:
                 self._shard_ema_us[merged.shard_id] = sum(known)
             self._autoscaler.forget(first_id)
             self._autoscaler.forget(second_id)
-            for source_id, row in merged.index.items():
-                self._where[source_id] = (merged, row)
+            self._reindex(merged)
             self._merges += 1
             if self._tel.enabled:
                 self._tel.emit(
@@ -768,8 +625,8 @@ class BatchStreamEngine:
     # ------------------------------------------------------------------
 
     def _locate(self, source_id: str) -> tuple[ShardRuntime, int]:
-        where = self._where.get(source_id)
-        if where is None or where[0].retired[where[1]]:
+        where = self._live(source_id)
+        if where is None:
             raise UnknownSourceError(f"unknown source {source_id!r}")
         return where
 
@@ -777,12 +634,7 @@ class BatchStreamEngine:
         """Per-source protocol counters (``DKFServer.stats`` shape)."""
         shard, row = self._locate(source_id)
         return {
-            "updates_received": int(shard.updates_received[row]),
-            "resyncs_received": int(shard.resyncs_received[row]),
-            "heartbeats_received": int(shard.heartbeats_received[row]),
-            "gaps_detected": int(shard.gaps_detected[row]),
-            "duplicates_ignored": int(shard.duplicates_ignored[row]),
-            "rejected_nonfinite": int(shard.rejected_nonfinite[row]),
+            **{name: int(getattr(shard, name)[row]) for name in SERVER_COUNTERS},
             "desynced": bool(shard.desynced[row]),
             "last_k": int(shard.last_k[row]),
             "last_contact": int(shard.last_contact[row]),
@@ -828,270 +680,121 @@ class BatchStreamEngine:
         delta = shard.configs[row].min_delta
         return delta / (delta + sigma)
 
-    def answers(self) -> list[QueryAnswer]:
-        """Current answers for every active query (scalar semantics)."""
-        out = []
-        for query in self.registry.active_queries:
-            where = self._where.get(query.source_id)
-            if where is None:
-                continue
-            shard, row = where
-            if shard.retired[row] or not shard.server.is_primed(row):
-                continue
-            staleness = max(
-                0, self._server_clock - int(shard.last_contact[row])
-            )
-            if self._tel.enabled:
-                self._tel.observe(
-                    "staleness_at_answer_ticks",
-                    staleness,
-                    source_id=query.source_id,
-                )
-            out.append(
-                QueryAnswer(
-                    query_id=query.query_id,
-                    source_id=query.source_id,
-                    k=int(shard.last_k[row]),
-                    value=tuple(float(v) for v in shard.answer[row]),
-                    precision=shard.configs[row].min_delta,
-                    staleness_ticks=staleness,
-                    confidence=self.confidence(query.source_id),
-                    degraded=(
-                        staleness > int(shard.suspect_after[row])
-                        or self._server_down
-                    ),
-                    quarantined=(
-                        self._watchdog is not None
-                        and self._watchdog.is_quarantined(query.source_id)
-                    ),
-                )
-            )
-        return out
-
-    def answer(self, query_id: str) -> QueryAnswer:
-        """The current answer for one query."""
-        for candidate in self.answers():
-            if candidate.query_id == query_id:
-                return candidate
-        raise UnknownSourceError(f"no answer available for query {query_id!r}")
-
     # ------------------------------------------------------------------
-    # Crash recovery
+    # Core hooks
     # ------------------------------------------------------------------
 
-    def _live_rows(self):
+    # Bound in this class's own namespace too, so per-class
+    # instrumentation can wrap it.
+    answers = EngineCore.answers
+
+    def _row_ids(self):
         for shard in self._router.shards:
             for row in range(shard.rows):
                 if not shard.retired[row]:
-                    yield shard, row
+                    yield shard.ids[row]
 
-    def _maybe_checkpoint(self) -> None:
-        if (
-            self._resilience is None
-            or not self._resilience.checkpoint_every
-            or self._ckpt is None
-            or self._server_down
-        ):
-            return
-        if self._ticks % self._resilience.checkpoint_every == 0:
-            self.checkpoint()
+    def _answer_view(self, source_id: str):
+        where = self._live(source_id)
+        if where is None:
+            return None
+        shard, row = where
+        if not shard.server.is_primed(row):
+            return None
+        staleness = max(0, self._clock - int(shard.last_contact[row]))
+        return (
+            int(shard.last_k[row]),
+            tuple(float(v) for v in shard.answer[row]),
+            shard.configs[row].min_delta,
+            staleness,
+            self.confidence(source_id),
+            staleness > int(shard.suspect_after[row]),
+        )
 
-    def checkpoint(self) -> int:
-        """Snapshot the server filter bank (``repro.ckpt-v1``)."""
-        if self._ckpt is None:
-            raise ConfigurationError(
-                "checkpointing requires a ResilienceConfig with a "
-                "checkpoint_dir"
-            )
-        if self._server_down:
-            raise ConfigurationError("cannot checkpoint a dead server")
-        snapshot = {
-            "schema": CHECKPOINT_SCHEMA,
-            "tick": self._ticks,
-            "server_clock": self._server_clock,
-            "sources": {
-                shard.ids[row]: shard.export_row(row)
-                for shard, row in self._live_rows()
-            },
-            "meta": {"recoveries": self._recoveries},
-        }
-        size = self._ckpt.save(snapshot)
-        if self._tel.enabled:
-            self._tel.emit(
-                "checkpoint.write",
-                bytes=size,
-                sources=len(snapshot["sources"]),
-            )
-            self._tel.count("checkpoint_writes_total")
-            self._tel.gauge("checkpoint_bytes", size)
-        return size
+    def _server_clock(self) -> int:
+        return self._clock
 
-    def crash_server(self) -> int:
-        """Kill the central server; deliveries drop until :meth:`recover`."""
-        if self._resilience is None:
-            raise ConfigurationError("crash_server requires a ResilienceConfig")
-        if self._server_down:
-            return 0
-        self._server_down = True
-        if self._tel.enabled:
-            self._tel.emit("server.crash", inbox_lost=0)
-            self._tel.count("server_crashes_total")
-        return 0
+    def _export_row(self, source_id: str) -> dict:
+        shard, row = self._where[source_id]
+        return shard.export_row(row)
 
-    def recover(self) -> dict[str, int]:
-        """Rebuild the server rows from checkpoint + WAL replay."""
-        if self._resilience is None:
-            raise ConfigurationError("recover requires a ResilienceConfig")
-        dropped = sum(s.dropped_while_down for s in self._router.shards)
-        self._server_down = False
-        self._server_clock = 0
+    def _import_row(self, source_id: str, data: dict) -> bool:
+        where = self._live(source_id)
+        if where is None:
+            return False
+        where[0].import_row(where[1], data)
+        return True
+
+    def _restart_server(self) -> None:
+        self._clock = 0
         for shard in self._router.shards:
             shard.dropped_while_down = 0
             shard._ack_queue.clear()
             for row in range(shard.rows):
                 if not shard.retired[row]:
                     shard._reset_server_row(row, register_clock=0)
-        snapshot = self._ckpt.load() if self._ckpt is not None else None
-        restored = 0
-        if snapshot is not None:
-            for source_id, data in snapshot["sources"].items():
-                where = self._where.get(source_id)
-                if where is None or where[0].retired[where[1]]:
-                    continue
-                where[0].import_row(where[1], data)
-                restored += 1
-        replayed = self._replay_wal() if self._ckpt is not None else 0
-        # Roll forward: the mirror predicted once per sampled instant
-        # while the server was dead; the restored filter has not.
-        for shard, row in self._live_rows():
-            if not (
-                shard.server.is_primed(row) and shard.mirror.is_primed(row)
-            ):
-                continue
-            behind = shard.mirror.k_row(row) - shard.server.k_row(row)
-            last_k = int(shard.last_k[row])
-            for i in range(max(0, behind)):
-                shard.server_tick_row(row, last_k + i + 1)
-        self._server_clock = max(self._server_clock, self._ticks)
-        for shard in self._router.shards:
-            shard._ack_queue.clear()
-        resyncs = 0
-        for shard, row in self._live_rows():
-            if not shard.mirror.is_primed(row):
-                continue
-            if int(shard.seq_next[row]) != int(shard.expected_seq[row]):
-                shard.resync_requested[row] = True
-                resyncs += 1
-        self._recoveries += 1
-        if self._tel.enabled:
-            self._tel.emit(
-                "recovery.replay",
-                restored_sources=restored,
-                wal_replayed=replayed,
-                resync_requests=resyncs,
-                dropped_while_down=dropped,
-            )
-            self._tel.count("recoveries_total")
-        return {
-            "restored_sources": restored,
-            "wal_replayed": replayed,
-            "resync_requests": resyncs,
-            "dropped_while_down": dropped,
-        }
 
-    def _replay_wal(self) -> int:
-        count = 0
-        for record in self._ckpt.wal_records():
-            where = self._where.get(record.get("source_id"))
-            if where is None or where[0].retired[where[1]]:
-                continue
-            shard, row = where
-            k = int(record["k"])
-            last_k = int(shard.last_k[row])
-            for t in range(last_k + 1, k + 1):
-                shard.server_tick_row(row, t)
-            self._server_clock = max(self._server_clock, k)
-            shard.replay_apply(
-                row,
-                record["kind"],
-                int(record["seq"]),
-                k,
-                record["value"],
-                x=record.get("x"),
-                p=record.get("p"),
-            )
-            count += 1
-        return count
+    def _last_k(self, source_id: str) -> int:
+        shard, row = self._where[source_id]
+        return int(shard.last_k[row])
 
-    def resilience_report(self) -> dict[str, object]:
-        """Summary of every resilience guard's activity this run."""
-        report: dict[str, object] = {
-            "enabled": self._resilience is not None,
-            "recoveries": self._recoveries,
-            "server_down": self._server_down,
-            "dropped_while_down": sum(
-                s.dropped_while_down for s in self._router.shards
-            ),
-        }
-        if self._watchdog is not None:
-            report["watchdog"] = self._watchdog.report()
-        if self._supervisor is not None:
-            report["supervisor"] = self._supervisor.report()
-        return report
+    def _tick_row(self, source_id: str, k: int) -> None:
+        shard, row = self._where[source_id]
+        shard.server_tick_row(row, k)
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-
-    def report(self) -> EngineReport:
-        """System-wide traffic and energy summary (scalar shape)."""
-        per_source_energy = {}
-        readings = updates = retransmits = heartbeats = 0
-        corrupted = acks = bytes_total = lost = 0
-        for shard, row in self._live_rows():
-            source_id = shard.ids[row]
-            per_source_energy[source_id] = self._energy.report(
-                bytes_sent=int(shard.bytes_delivered[row]),
-                filter_steps=int(shard.samples_seen[row]),
-                state_dim=shard.n,
-                measurement_dim=shard.m,
-                smoothing_steps=0,
-            )
-            readings += int(shard.samples_seen[row])
-            updates += int(
-                shard.offered[row]
-                - shard.link_resyncs[row]
-                - shard.link_heartbeats[row]
-            )
-            retransmits += int(shard.link_resyncs[row])
-            heartbeats += int(shard.link_heartbeats[row])
-            corrupted += int(shard.corrupted[row])
-            acks += int(shard.acks_delivered[row])
-            bytes_total += int(shard.bytes_delivered[row])
-            lost += int(shard.lost[row])
-        return EngineReport(
-            ticks=self._ticks,
-            readings=readings,
-            updates_sent=updates,
-            bytes_delivered=bytes_total,
-            messages_lost=lost,
-            in_flight=0,
-            retransmits=retransmits,
-            heartbeats=heartbeats,
-            corrupted=corrupted,
-            acks_delivered=acks,
-            per_source_energy=per_source_energy,
+    def _replay_record(self, source_id: str, record: dict) -> None:
+        shard, row = self._where[source_id]
+        k = int(record["k"])
+        self._clock = max(self._clock, k)
+        shard.replay_apply(
+            row,
+            record["kind"],
+            int(record["seq"]),
+            k,
+            record["value"],
+            x=record.get("x"),
+            p=record.get("p"),
         )
 
-    def obs_snapshot(self, meta: dict | None = None) -> dict:
-        """Telemetry snapshot of this run (``repro.obs/v2`` schema)."""
-        merged = {
-            "ticks": self._ticks,
-            "report": self.report().to_dict(),
-            "scale": self.scale_report(),
-        }
-        if self._resilience is not None:
-            merged["resilience"] = self.resilience_report()
-        if meta:
-            merged.update(meta)
-        return build_snapshot(self._tel, meta=merged)
+    def _row_lag(self, source_id: str) -> int:
+        shard, row = self._where[source_id]
+        if not (shard.server.is_primed(row) and shard.mirror.is_primed(row)):
+            return 0
+        return shard.mirror.k_row(row) - shard.server.k_row(row)
+
+    def _finish_recovery(self) -> None:
+        self._clock = max(self._clock, self._ticks)
+        for shard in self._router.shards:
+            shard._ack_queue.clear()
+
+    def _resync_if_behind(self, source_id: str) -> bool:
+        shard, row = self._where[source_id]
+        if not shard.mirror.is_primed(row) or (
+            int(shard.seq_next[row]) == int(shard.expected_seq[row])
+        ):
+            return False
+        shard.resync_requested[row] = True
+        return True
+
+    def _ledger_row(self, source_id: str) -> LedgerRow:
+        shard, row = self._where[source_id]
+        return LedgerRow(
+            samples=int(shard.samples_seen[row]),
+            smoothing_steps=0,
+            state_dim=shard.n,
+            measurement_dim=shard.m,
+            offered=int(shard.offered[row]),
+            resyncs=int(shard.link_resyncs[row]),
+            heartbeats=int(shard.link_heartbeats[row]),
+            bytes_delivered=int(shard.bytes_delivered[row]),
+            lost=int(shard.lost[row]),
+            corrupted=int(shard.corrupted[row]),
+            acks_delivered=int(shard.acks_delivered[row]),
+            in_flight=0,
+        )
+
+    def _dropped_while_down(self) -> int:
+        return sum(s.dropped_while_down for s in self._router.shards)
+
+    def _snapshot_meta(self) -> dict:
+        return {"scale": self.scale_report()}

@@ -10,7 +10,7 @@ instant with a handful of batched array operations.
 
 Semantic parity with the scalar stack is the design constraint, not an
 afterthought; each phase below names the scalar code it mirrors
-(``StreamEngine._step_sources``, ``DKFSource.sample``/``poll_transport``,
+(``SourceSide.step``, ``DKFSource.sample``/``poll_transport``,
 ``DKFServer.receive``/``tick``, ``NetworkFabric.send``).  Rows fall into
 two transport regimes:
 
@@ -39,6 +39,7 @@ from repro.dkf.config import DKFConfig, TransportPolicy
 from repro.dkf.protocol import HeartbeatMessage, ResyncMessage, UpdateMessage
 from repro.errors import ConfigurationError
 from repro.filters.models import StateSpaceModel
+from repro.resilience.checkpoint import wal_record
 from repro.scale.vector_bank import VectorKalmanBank, require_static_model
 from repro.streams.base import StreamRecord
 
@@ -61,6 +62,12 @@ _ROW_INTS = (
     "updates_received", "resyncs_received", "heartbeats_received",
     "gaps_detected", "duplicates_ignored", "rejected_nonfinite",
     "consec_rejects", "hb_interval", "suspect_after",
+)
+#: Server-side protocol counters (``DKFServer.stats`` names): zeroed on
+#: register, carried by checkpoints.
+SERVER_COUNTERS = (
+    "updates_received", "resyncs_received", "heartbeats_received",
+    "gaps_detected", "duplicates_ignored", "rejected_nonfinite",
 )
 #: Per-row bool state arrays.
 _ROW_BOOLS = (
@@ -273,10 +280,7 @@ class ShardRuntime:
         self.desynced[row] = False
         self.has_answer[row] = False
         self.answer[row] = 0.0
-        for name in (
-            "updates_received", "resyncs_received", "heartbeats_received",
-            "gaps_detected", "duplicates_ignored", "rejected_nonfinite",
-        ):
+        for name in SERVER_COUNTERS:
             getattr(self, name)[row] = 0
         if self.nis_windows[row] is not None:
             self.nis_windows[row].clear()
@@ -310,7 +314,7 @@ class ShardRuntime:
     ) -> int:
         """Advance every row one sampling instant; returns readings taken.
 
-        Phases mirror ``StreamEngine._step_sources`` + the step tail:
+        Phases mirror ``SourceSide.step`` + the engine step tail:
         crash/restart handling, bulk read + sensor faults, server tick,
         mirror suppression decision, sends, transport poll, ack flush.
         """
@@ -482,7 +486,7 @@ class ShardRuntime:
             fast = fastable[upd_rows] & (seqs == self.expected_seq[upd_rows])
             f_rows, f_z, f_seq = upd_rows[fast], z_upd[fast], seqs[fast]
             if f_rows.size:
-                self._fast_apply_updates(f_rows, f_z, f_seq, now, wal)
+                self._fast_apply(f_rows, f_z, f_seq, now, wal, resync=False)
             for i in np.flatnonzero(~fast):
                 row = int(upd_rows[i])
                 self._send_slow(
@@ -502,7 +506,7 @@ class ShardRuntime:
             fast = fastable[rs_rows]
             f_rows, f_z, f_seq = rs_rows[fast], z_rs[fast], seqs[fast]
             if f_rows.size:
-                self._fast_apply_resyncs(f_rows, f_z, f_seq, now, wal)
+                self._fast_apply(f_rows, f_z, f_seq, now, wal, resync=True)
             for i in np.flatnonzero(~fast):
                 row = int(rs_rows[i])
                 self._send_slow(
@@ -519,73 +523,50 @@ class ShardRuntime:
         self.has_pending[row] = True
         self.last_send[row] = now
 
-    def _fast_apply_updates(
-        self, rows, z, seqs, now: int, wal
-    ) -> None:
-        """Lossless same-step delivery + apply + ack for update rows."""
+    def _fast_apply(self, rows, z, seqs, now: int, wal, resync: bool) -> None:
+        """Lossless same-step delivery + apply + ack of updates, or of
+        resync-prime snapshots of the mirror state when ``resync``."""
         self.offered[rows] += 1
         self.delivered[rows] += 1
-        self.bytes_delivered[rows] += self.update_bytes
         self.last_contact[rows] = now
         self.last_send[rows] = now
-        primed = self.server.primed
-        new_mask = ~primed[rows]
-        if new_mask.any():
-            self.server.prime(rows[new_mask], z[new_mask])
-        seasoned = rows[~new_mask]
-        if seasoned.size:
-            self._observe_nis(seasoned, z[~new_mask])
-            self.server.update(seasoned, z[~new_mask])
+        x = p = None
+        if resync:
+            self.link_resyncs[rows] += 1
+            self.bytes_delivered[rows] += self.resync_bytes
+            x = self.mirror._x[rows]
+            p = self.mirror._p[rows]
+            self.server.set_state(rows, x, p)
+            self.resyncs_received[rows] += 1
+            self.desynced[rows] = False
+            for row in rows:
+                if self.nis_windows[row] is not None:
+                    self.nis_windows[row].clear()
+        else:
+            self.bytes_delivered[rows] += self.update_bytes
+            new_mask = ~self.server.primed[rows]
+            if new_mask.any():
+                self.server.prime(rows[new_mask], z[new_mask])
+            seasoned = rows[~new_mask]
+            if seasoned.size:
+                self._observe_nis(seasoned, z[~new_mask])
+                self.server.update(seasoned, z[~new_mask])
+            self.updates_received[rows] += 1
         self.answer[rows] = z
         self.has_answer[rows] = True
-        self.updates_received[rows] += 1
         self.expected_seq[rows] = seqs + 1
         self.last_k[rows] = self.m_k[rows]
         self.acks_offered[rows] += 1
         self.acks_delivered[rows] += 1
         if wal is not None:
             for i, row in enumerate(rows):
-                wal({
-                    "kind": "update",
-                    "source_id": self.ids[int(row)],
-                    "seq": int(seqs[i]),
-                    "k": int(self.m_k[row]),
-                    "value": z[i].tolist(),
-                })
-
-    def _fast_apply_resyncs(self, rows, z, seqs, now: int, wal) -> None:
-        """Lossless same-step delivery of resync-prime snapshots."""
-        self.offered[rows] += 1
-        self.link_resyncs[rows] += 1
-        self.delivered[rows] += 1
-        self.bytes_delivered[rows] += self.resync_bytes
-        self.last_contact[rows] = now
-        self.last_send[rows] = now
-        x = self.mirror._x[rows]
-        p = self.mirror._p[rows]
-        self.server.set_state(rows, x, p)
-        self.answer[rows] = z
-        self.has_answer[rows] = True
-        self.expected_seq[rows] = seqs + 1
-        self.resyncs_received[rows] += 1
-        self.desynced[rows] = False
-        self.last_k[rows] = self.m_k[rows]
-        for row in rows:
-            if self.nis_windows[row] is not None:
-                self.nis_windows[row].clear()
-        self.acks_offered[rows] += 1
-        self.acks_delivered[rows] += 1
-        if wal is not None:
-            for i, row in enumerate(rows):
-                wal({
-                    "kind": "resync",
-                    "source_id": self.ids[int(row)],
-                    "seq": int(seqs[i]),
-                    "k": int(self.m_k[row]),
-                    "value": z[i].tolist(),
-                    "x": x[i].tolist(),
-                    "p": p[i].tolist(),
-                })
+                wal(
+                    wal_record(
+                        self.ids[int(row)], seqs[i], self.m_k[row], z[i],
+                        x=None if x is None else x[i],
+                        p=None if p is None else p[i],
+                    )
+                )
 
     def _send_slow(
         self,
@@ -635,65 +616,54 @@ class ShardRuntime:
         if kind == _HEARTBEAT:
             self.heartbeats_received[row] += 1
             return
-        if kind == _UPDATE:
+        ack_seq, gap, applied = self._receive_row(
+            row, kind == _RESYNC, seq, k, value, x, p
+        )
+        self._ack_queue.append((row, ack_seq, gap))
+        if applied and wal is not None:
+            wal(wal_record(self.ids[row], seq, k, value, x=x, p=p))
+
+    def _receive_row(
+        self, row: int, resync: bool, seq: int, k: int, value, x, p
+    ) -> tuple[int, bool, bool]:
+        """``DKFServer.receive`` of one update or resync on one row.
+
+        Returns ``(ack_seq, resync_requested, applied)``: duplicates and
+        gaps are counted and acked without touching the filter.
+        """
+        arr = np.array([row], dtype=np.intp)
+        if resync:
+            # Full state injection, applied regardless of seq.
+            self.server.set_state(
+                arr,
+                np.asarray(x, dtype=float)[None, :],
+                np.asarray(p, dtype=float)[None, :, :],
+            )
+            self.resyncs_received[row] += 1
+            self.desynced[row] = False
+            if self.nis_windows[row] is not None:
+                self.nis_windows[row].clear()
+        else:
             expected = int(self.expected_seq[row])
             if seq < expected:
                 self.duplicates_ignored[row] += 1
-                self._ack_queue.append((row, expected, False))
-                return
+                return expected, False, False
             if seq > expected:
                 self.desynced[row] = True
                 self.gaps_detected[row] += 1
-                self._ack_queue.append((row, expected, True))
-                return
-            arr = np.array([row], dtype=np.intp)
+                return expected, True, False
             zv = np.asarray(value, dtype=float)[None, :]
             if not self.server.is_primed(row):
                 self.server.prime(arr, zv)
             else:
                 self._observe_nis(arr, zv)
                 self.server.update(arr, zv)
-            self.answer[row] = value
-            self.has_answer[row] = True
             self.updates_received[row] += 1
-            self.expected_seq[row] = seq + 1
-            self.last_k[row] = k
-            self._ack_queue.append((row, seq + 1, False))
-            if wal is not None:
-                wal({
-                    "kind": "update",
-                    "source_id": self.ids[row],
-                    "seq": seq,
-                    "k": k,
-                    "value": np.asarray(value, dtype=float).tolist(),
-                })
-            return
-        # Resync: full state injection, applied regardless of seq.
-        arr = np.array([row], dtype=np.intp)
-        self.server.set_state(
-            arr,
-            np.asarray(x, dtype=float)[None, :],
-            np.asarray(p, dtype=float)[None, :, :],
-        )
         self.answer[row] = value
         self.has_answer[row] = True
         self.expected_seq[row] = seq + 1
-        self.resyncs_received[row] += 1
-        self.desynced[row] = False
         self.last_k[row] = k
-        if self.nis_windows[row] is not None:
-            self.nis_windows[row].clear()
-        self._ack_queue.append((row, seq + 1, False))
-        if wal is not None:
-            wal({
-                "kind": "resync",
-                "source_id": self.ids[row],
-                "seq": seq,
-                "k": k,
-                "value": np.asarray(value, dtype=float).tolist(),
-                "x": np.asarray(x, dtype=float).tolist(),
-                "p": np.asarray(p, dtype=float).tolist(),
-            })
+        return seq + 1, False, True
 
     # ------------------------------------------------------------------
     # Transport poll
@@ -798,12 +768,7 @@ class ShardRuntime:
             "expected_seq": int(self.expected_seq[row]),
             "k": int(self.last_k[row]),
             "last_contact": int(self.last_contact[row]),
-            "updates_received": int(self.updates_received[row]),
-            "resyncs_received": int(self.resyncs_received[row]),
-            "heartbeats_received": int(self.heartbeats_received[row]),
-            "gaps_detected": int(self.gaps_detected[row]),
-            "duplicates_ignored": int(self.duplicates_ignored[row]),
-            "rejected_nonfinite": int(self.rejected_nonfinite[row]),
+            **{name: int(getattr(self, name)[row]) for name in SERVER_COUNTERS},
             "desynced": bool(self.desynced[row]),
             "answer": (
                 self.answer[row].tolist() if self.has_answer[row] else None
@@ -816,12 +781,8 @@ class ShardRuntime:
         self.expected_seq[row] = int(data["expected_seq"])
         self.last_k[row] = int(data["k"])
         self.last_contact[row] = int(data["last_contact"])
-        self.updates_received[row] = int(data["updates_received"])
-        self.resyncs_received[row] = int(data["resyncs_received"])
-        self.heartbeats_received[row] = int(data["heartbeats_received"])
-        self.gaps_detected[row] = int(data["gaps_detected"])
-        self.duplicates_ignored[row] = int(data["duplicates_ignored"])
-        self.rejected_nonfinite[row] = int(data["rejected_nonfinite"])
+        for name in SERVER_COUNTERS:
+            getattr(self, name)[row] = int(data[name])
         self.desynced[row] = bool(data["desynced"])
         answer = data.get("answer")
         if answer is not None:
@@ -841,41 +802,7 @@ class ShardRuntime:
         replay's ``advance_clock(k)`` + zero-latency delivery.
         """
         self.last_contact[row] = k
-        arr = np.array([row], dtype=np.intp)
-        zv = np.asarray(value, dtype=float)[None, :]
-        if kind == "resync":
-            self.server.set_state(
-                arr,
-                np.asarray(x, dtype=float)[None, :],
-                np.asarray(p, dtype=float)[None, :, :],
-            )
-            self.answer[row] = zv[0]
-            self.has_answer[row] = True
-            self.expected_seq[row] = seq + 1
-            self.resyncs_received[row] += 1
-            self.desynced[row] = False
-            self.last_k[row] = k
-            if self.nis_windows[row] is not None:
-                self.nis_windows[row].clear()
-            return
-        expected = int(self.expected_seq[row])
-        if seq < expected:
-            self.duplicates_ignored[row] += 1
-            return
-        if seq > expected:
-            self.desynced[row] = True
-            self.gaps_detected[row] += 1
-            return
-        if not self.server.is_primed(row):
-            self.server.prime(arr, zv)
-        else:
-            self._observe_nis(arr, zv)
-            self.server.update(arr, zv)
-        self.answer[row] = zv[0]
-        self.has_answer[row] = True
-        self.updates_received[row] += 1
-        self.expected_seq[row] = seq + 1
-        self.last_k[row] = k
+        self._receive_row(row, kind == "resync", seq, k, value, x, p)
 
     def server_tick_row(self, row: int, k: int) -> None:
         """Single-row server tick (WAL replay / recovery roll-forward)."""
@@ -918,30 +845,8 @@ class ShardRuntime:
         out.mirror = self.mirror.take_rows(rows)
         out.server = self.server.take_rows(rows)
         out.dropped_while_down = 0
-        for new_i, old in enumerate(rows):
-            old = int(old)
-            out.ids.append(self.ids[old])
-            out.index[self.ids[old]] = new_i
-            out.policies.append(self.policies[old])
-            out.configs.append(self.configs[old])
-            out.streams.append(self.streams[old])
-            out.stream_ts.append(self.stream_ts[old])
-            out.pending.append(dict(self.pending[old]))
-            out.nis_windows.append(
-                deque(self.nis_windows[old], maxlen=NIS_WINDOW)
-                if self.nis_windows[old] is not None
-                else None
-            )
-            if old in self.loss_fns:
-                out.loss_fns[new_i] = self.loss_fns[old]
-            if old in self.corrupt_fns:
-                out.corrupt_fns[new_i] = self.corrupt_fns[old]
-            if old in self.crash_rows:
-                out.crash_rows.add(new_i)
-            if old in self.sensor_rows:
-                out.sensor_rows.add(new_i)
-            if old in self.restart_pending:
-                out.restart_pending.add(new_i)
+        for old in rows:
+            out._append_row_state(self, int(old))
         for name in _ROW_INTS:
             setattr(out, name, getattr(self, name)[rows].copy())
         for name in _ROW_BOOLS:
@@ -950,6 +855,30 @@ class ShardRuntime:
         out.last_value = self.last_value[rows].copy()
         out.answer = self.answer[rows].copy()
         return out
+
+    def _append_row_state(self, src: "ShardRuntime", old: int) -> None:
+        """Copy row ``old`` of ``src`` -- its per-row Python state, not
+        the arrays -- in as this runtime's next row."""
+        new_i = len(self.ids)
+        self.ids.append(src.ids[old])
+        self.index[src.ids[old]] = new_i
+        self.policies.append(src.policies[old])
+        self.configs.append(src.configs[old])
+        self.streams.append(src.streams[old])
+        self.stream_ts.append(src.stream_ts[old])
+        self.pending.append(dict(src.pending[old]))
+        self.nis_windows.append(
+            deque(src.nis_windows[old], maxlen=NIS_WINDOW)
+            if src.nis_windows[old] is not None
+            else None
+        )
+        if old in src.loss_fns:
+            self.loss_fns[new_i] = src.loss_fns[old]
+        if old in src.corrupt_fns:
+            self.corrupt_fns[new_i] = src.corrupt_fns[old]
+        for name in ("crash_rows", "sensor_rows", "restart_pending"):
+            if old in getattr(src, name):
+                getattr(self, name).add(new_i)
 
     def split(self) -> tuple["ShardRuntime", "ShardRuntime"]:
         """Split into two halves (latency budget breached)."""
@@ -1001,29 +930,7 @@ class ShardRuntime:
         base = 0
         for part in (self, other):
             for old in range(part.rows):
-                new_i = base + old
-                out.ids.append(part.ids[old])
-                out.index[part.ids[old]] = new_i
-                out.policies.append(part.policies[old])
-                out.configs.append(part.configs[old])
-                out.streams.append(part.streams[old])
-                out.stream_ts.append(part.stream_ts[old])
-                out.pending.append(dict(part.pending[old]))
-                out.nis_windows.append(
-                    deque(part.nis_windows[old], maxlen=NIS_WINDOW)
-                    if part.nis_windows[old] is not None
-                    else None
-                )
-                if old in part.loss_fns:
-                    out.loss_fns[new_i] = part.loss_fns[old]
-                if old in part.corrupt_fns:
-                    out.corrupt_fns[new_i] = part.corrupt_fns[old]
-                if old in part.crash_rows:
-                    out.crash_rows.add(new_i)
-                if old in part.sensor_rows:
-                    out.sensor_rows.add(new_i)
-                if old in part.restart_pending:
-                    out.restart_pending.add(new_i)
+                out._append_row_state(part, old)
             out._ack_queue.extend(
                 (row + base, seq, ok) for row, seq, ok in part._ack_queue
             )

@@ -160,6 +160,17 @@ class TestBatchEngineWiring:
         assert len(report["shards"]) > 1
         assert report["autoscale"]["plans"] > 0
 
+    def test_reactive_splits_forget_split_away_forecasters(self):
+        # Every step blows a 1 us budget, so the reactive EMA split
+        # fires each tick; the forecasters it leaves behind must only
+        # track shards that still exist.
+        engine = _batch_engine(AutoscalePolicy(), budget_us=1.0, sources=8)
+        for _ in range(3):
+            engine.step()
+        assert engine.scale_report()["rebalances"] > 0
+        live = {shard.shard_id for shard in engine.shards}
+        assert set(engine.autoscaler.report()["shards"]) <= live
+
     def test_predictive_merge_rejoins_cold_shards(self):
         engine = _batch_engine(self.policy(), budget_us=1e-3)
         engine.run(30)

@@ -166,12 +166,12 @@ class TestRegistrationEdges:
         engine = make_engine(100)
         engine.submit_query(ContinuousQuery("s0", delta=5.0, query_id="loose"))
         engine.run(max_ticks=5)
-        first_install = engine._sources["s0"]  # noqa: SLF001
+        first_install = engine.sources["s0"]
         engine.submit_query(ContinuousQuery("s0", delta=1.0, query_id="tight"))
-        second_install = engine._sources["s0"]  # noqa: SLF001
+        second_install = engine.sources["s0"]
         assert second_install is not first_install  # tightened: reinstall
         engine.submit_query(ContinuousQuery("s0", delta=9.0, query_id="wide"))
-        third_install = engine._sources["s0"]  # noqa: SLF001
+        third_install = engine.sources["s0"]
         assert third_install is second_install  # loosened: keep filters
 
 

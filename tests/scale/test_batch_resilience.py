@@ -152,6 +152,60 @@ def test_checkpoint_restart_cold(tmp_path):
     snapshot = first.checkpoint_store.load()
     assert snapshot is not None
     assert set(snapshot["sources"]) == set(DELTAS)
+    fresh = _build(BatchStreamEngine, tmp_path, truth)
+    summary = fresh.recover()
+    assert summary["restored_sources"] == len(DELTAS)
+    assert summary["wal_replayed"] == 0
+    for sid in DELTAS:
+        assert fresh.stats(sid) == first.stats(sid)
+        np.testing.assert_array_equal(fresh.value(sid), first.value(sid))
+
+
+SWAP_AT, AFTER_SWAP = 120, 30
+
+
+def _recover_from(eng, snapshot_dir):
+    """Crash ``eng`` and recover it from the checkpoint in ``snapshot_dir``."""
+    source = snapshot_dir / "checkpoint.ckpt"
+    eng.checkpoint_store.checkpoint_path.write_bytes(source.read_bytes())
+    eng.crash_server()
+    return eng.recover()
+
+
+@pytest.mark.parametrize(
+    "cls, other",
+    [(StreamEngine, BatchStreamEngine), (BatchStreamEngine, StreamEngine)],
+    ids=["scalar-reads-batch", "batch-reads-scalar"],
+)
+def test_checkpoint_readable_by_the_other_engine(tmp_path, cls, other):
+    """An engine recovered from the other engine's checkpoint answers
+    exactly like one recovered from its own."""
+    truth = _truth()
+    own = _build(cls, tmp_path / "own", truth)
+    crossed = _build(cls, tmp_path / "crossed", truth)
+    donor = _build(other, tmp_path / "donor", truth)
+    for eng in (own, crossed, donor):
+        for _ in range(SWAP_AT):
+            eng.step()
+        eng.checkpoint()
+    rec_own = _recover_from(own, tmp_path / "own")
+    rec_crossed = _recover_from(crossed, tmp_path / "donor")
+    assert rec_crossed == rec_own
+    assert rec_crossed["restored_sources"] == len(DELTAS)
+    for _ in range(AFTER_SWAP):
+        own.step()
+        crossed.step()
+    ans_own = {x.query_id: x for x in own.answers()}
+    ans_crossed = {x.query_id: x for x in crossed.answers()}
+    assert set(ans_own) == set(ans_crossed) == {f"q-{s}" for s in DELTAS}
+    for qid, a in ans_own.items():
+        b = ans_crossed[qid]
+        delta = np.abs(np.array(a.value) - np.array(b.value)).max()
+        assert delta <= 1e-9, (qid, delta)
+        for field in ("k", "precision", "staleness_ticks", "degraded",
+                      "quarantined"):
+            assert getattr(a, field) == getattr(b, field), (qid, field)
+    assert own.report() == crossed.report()
 
 
 def test_quarantine_on_persistent_nan(tmp_path):
